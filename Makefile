@@ -10,9 +10,12 @@ test:
 race:
 	go test -race ./...
 
+# The benchmark module (perfbench/) is its own Go module, so the root
+# ./... pattern skips it; vet it separately to catch API drift early.
 .PHONY: vet
 vet:
 	go vet ./...
+	cd perfbench && GOWORK=off go vet ./...
 
 # Every fuzz target for a short burst each; lengthen -fuzztime for a
 # real campaign. Go allows one -fuzz target per package invocation.
@@ -191,12 +194,15 @@ serve-churn:
 tick-bench:
 	go run ./cmd/aapm-tickbench -count 3
 
-# Allocation gate + batch differential, exactly as CI runs them: the
-# specialized bodies must stay at zero heap allocations per tick and
-# byte-identical to the staged engine.
+# Allocation gate + batch differential: the specialized bodies must
+# stay at zero heap allocations per tick and byte-identical to the
+# staged engine, the per-node accessors the coordinator reads must match
+# a hook tap on staged sessions, and cluster.Run must reproduce the
+# staged cluster engine's committed golden traces.
 .PHONY: tick-gate
 tick-gate:
-	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged' ./internal/kernel/
+	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged' ./internal/kernel/
+	go test -run TestEngineMatchesStaged ./internal/cluster/
 	go test -run '^$$' -bench BenchmarkBatchTick -benchtime 1000x -benchmem .
 
 # Fleet-scale smoke: a 100k-node, multi-epoch hierarchical run must

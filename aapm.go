@@ -211,19 +211,21 @@ func MixWorkloads() []WorkloadSpec { return mixes.All() }
 // co-simulation.
 type ClusterNode = cluster.Node
 
-// ClusterConfig describes a shared-budget co-simulation.
+// ClusterConfig describes a shared-budget co-simulation: a flat set of
+// machines under one cap, optionally held at the equal split (Static),
+// with per-node telemetry and observer hooks.
 type ClusterConfig = cluster.Config
 
 // ClusterResult is a co-simulation outcome.
 type ClusterResult = cluster.Result
 
-// RunCluster co-simulates several machines under one power budget; see
-// internal/cluster for the coordinator's water-filling policy.
+// RunCluster co-simulates several machines under one power budget. It
+// is RunFleet with one level and traces retained; see internal/cluster
+// for the coordinator's water-filling policy.
 func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
 
 // FleetConfig describes a hierarchical shared-budget co-simulation:
-// the flat coordinator's budget policy run at every tier of an
-// allocation tree (root over pods over racks over nodes), sized for
+// the shared-budget policy run at every tier of an allocation tree (root over pods over racks over nodes), sized for
 // fleets of 10⁵+ nodes in one process.
 type FleetConfig = cluster.FleetConfig
 
@@ -231,9 +233,8 @@ type FleetConfig = cluster.FleetConfig
 type FleetResult = cluster.FleetResult
 
 // RunFleet co-simulates a node fleet under the hierarchical
-// coordinator. A one-level fleet reproduces RunCluster byte for byte;
-// deeper trees re-run the same allocator over per-group aggregates at
-// each level. See the "Hierarchical fleet coordinator" section of
+// coordinator. A one-level fleet is what RunCluster runs; deeper trees
+// re-run the same allocator over per-group aggregates at each level. See the "Hierarchical fleet coordinator" section of
 // DESIGN.md.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) { return cluster.RunFleet(cfg) }
 

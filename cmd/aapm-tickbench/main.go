@@ -25,7 +25,6 @@ import (
 	"strings"
 	"time"
 
-	"aapm/internal/cluster"
 	"aapm/internal/control"
 	"aapm/internal/kernel"
 	"aapm/internal/machine"
@@ -84,43 +83,6 @@ func batchSample() (float64, error) {
 		return 0, fmt.Errorf("batch run executed no ticks")
 	}
 	return float64(wall.Nanoseconds()) / float64(ticks), nil
-}
-
-// clusterSample times the shared-budget coordinator over the same mix
-// on the staged engine — the deployment path the batch kernel replaces
-// and the BenchmarkClusterTick baseline the acceptance ratio is
-// defined against — and returns ns/node-tick (wall clock over emitted
-// rows).
-func clusterSample() (float64, error) {
-	nodes, err := buildNodes()
-	if err != nil {
-		return 0, err
-	}
-	cnodes := make([]cluster.Node, len(nodes))
-	for i, n := range nodes {
-		cnodes[i] = cluster.Node{Name: names[i], Workload: n.Workload}
-	}
-	start := time.Now()
-	res, err := cluster.Run(cluster.Config{
-		BudgetW: 104,
-		Nodes:   cnodes,
-		Seed:    7,
-		Chain:   sensor.NIDefault(),
-		Workers: 1,
-		Engine:  "staged",
-	})
-	if err != nil {
-		return 0, err
-	}
-	wall := time.Since(start)
-	rows := 0
-	for _, r := range res.Runs {
-		rows += len(r.Rows)
-	}
-	if rows == 0 {
-		return 0, fmt.Errorf("cluster run emitted no rows")
-	}
-	return float64(wall.Nanoseconds()) / float64(rows), nil
 }
 
 // stagedSample times the same mix through the staged reference engine
@@ -211,23 +173,20 @@ func gitHead() string {
 }
 
 // entry mirrors one BENCH_tick.json history element. ns_per_op is the
-// batch kernel's cost per node-tick; staged_ns_per_op is the bare
-// staged-session cost on the same specs; cluster_ns_per_op is the
-// staged shared-budget coordinator (the BenchmarkClusterTick baseline)
-// and speedup is cluster_ns_per_op / ns_per_op — the acceptance ratio.
+// batch kernel's cost per node-tick; staged_ns_per_op is the staged
+// machine.Session cost on the same specs, and speedup is
+// staged_ns_per_op / ns_per_op.
 type entry struct {
-	Date               string    `json:"date"`
-	BaseCommit         string    `json:"base_commit"`
-	NsPerOp            float64   `json:"ns_per_op"`
-	SamplesNsOp        []float64 `json:"samples_ns_per_op"`
-	StagedNsPerOp      float64   `json:"staged_ns_per_op"`
-	SamplesStagedNsOp  []float64 `json:"samples_staged_ns_per_op"`
-	ClusterNsPerOp     float64   `json:"cluster_ns_per_op"`
-	SamplesClusterNsOp []float64 `json:"samples_cluster_ns_per_op"`
-	SpreadPct          float64   `json:"spread_pct"`
-	Speedup            float64   `json:"speedup"`
-	CPU                string    `json:"cpu"`
-	Note               string    `json:"note,omitempty"`
+	Date              string    `json:"date"`
+	BaseCommit        string    `json:"base_commit"`
+	NsPerOp           float64   `json:"ns_per_op"`
+	SamplesNsOp       []float64 `json:"samples_ns_per_op"`
+	StagedNsPerOp     float64   `json:"staged_ns_per_op"`
+	SamplesStagedNsOp []float64 `json:"samples_staged_ns_per_op"`
+	SpreadPct         float64   `json:"spread_pct"`
+	Speedup           float64   `json:"speedup"`
+	CPU               string    `json:"cpu"`
+	Note              string    `json:"note,omitempty"`
 }
 
 func run() error {
@@ -241,7 +200,6 @@ func run() error {
 
 	batch := make([]float64, 0, *count)
 	staged := make([]float64, 0, *count)
-	clus := make([]float64, 0, *count)
 	for i := 0; i < *count; i++ {
 		b, err := batchSample()
 		if err != nil {
@@ -253,32 +211,25 @@ func run() error {
 			return err
 		}
 		staged = append(staged, s)
-		c, err := clusterSample()
-		if err != nil {
-			return err
-		}
-		clus = append(clus, c)
 		if !*asJSON {
-			fmt.Printf("sample %d: batch %.1f, staged %.1f, staged-cluster %.1f ns/node-tick\n", i+1, b, s, c)
+			fmt.Printf("sample %d: batch %.1f, staged %.1f ns/node-tick\n", i+1, b, s)
 		}
 	}
-	bb, sb, cb := best(batch), best(staged), best(clus)
-	speedup := cb / bb
+	bb, sb := best(batch), best(staged)
+	speedup := sb / bb
 
 	if *asJSON {
 		e := entry{
-			Date:               time.Now().UTC().Format("2006-01-02"),
-			BaseCommit:         gitHead(),
-			NsPerOp:            round1(bb),
-			SamplesNsOp:        round1s(batch),
-			StagedNsPerOp:      round1(sb),
-			SamplesStagedNsOp:  round1s(staged),
-			ClusterNsPerOp:     round1(cb),
-			SamplesClusterNsOp: round1s(clus),
-			SpreadPct:          round1(spreadPct(batch)),
-			Speedup:            round2(speedup),
-			CPU:                cpuModel(),
-			Note:               *note,
+			Date:              time.Now().UTC().Format("2006-01-02"),
+			BaseCommit:        gitHead(),
+			NsPerOp:           round1(bb),
+			SamplesNsOp:       round1s(batch),
+			StagedNsPerOp:     round1(sb),
+			SamplesStagedNsOp: round1s(staged),
+			SpreadPct:         round1(spreadPct(batch)),
+			Speedup:           round2(speedup),
+			CPU:               cpuModel(),
+			Note:              *note,
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -286,8 +237,7 @@ func run() error {
 	}
 	fmt.Printf("batch kernel: %.1f ns/node-tick (best of %d, spread %.1f%%)\n", bb, *count, spreadPct(batch))
 	fmt.Printf("staged engine: %.1f ns/node-tick (best of %d, spread %.1f%%)\n", sb, *count, spreadPct(staged))
-	fmt.Printf("staged cluster baseline: %.1f ns/node-tick (best of %d, spread %.1f%%)\n", cb, *count, spreadPct(clus))
-	fmt.Printf("speedup vs cluster baseline: %.2fx (vs bare staged engine: %.2fx)\n", speedup, sb/bb)
+	fmt.Printf("speedup vs staged engine: %.2fx\n", speedup)
 	return nil
 }
 

@@ -4,7 +4,7 @@
 // the root over pods, a pod over racks, a rack over nodes — runs the
 // same Allocator over Aggregate summaries of the level below.
 //
-// The policy, unchanged from the flat coordinator:
+// The policy, unchanged from the original flat coordinator:
 //
 //   - A child with a usable observation asks for its model appetite at
 //     the recent decode rate plus MarginW of headroom, never less than
@@ -76,8 +76,8 @@ type Allocator struct {
 	// cluster coordinator).
 	MarginW float64
 	// OnDecision, when non-nil, receives each fresh child's
-	// (pre-clamp) desire and granted limit after it is applied —
-	// the debug/test hook the flat coordinator exposed.
+	// (pre-clamp) desire and granted limit after it is applied (a
+	// test hook).
 	OnDecision func(child int, desireW, limitW float64)
 
 	idx     []int
@@ -102,7 +102,8 @@ func sized(buf *[]float64, n int) []float64 {
 // appetite plus margin, lower-bounded by the recent measured draw,
 // falling back to minW when the child has no usable signal. The
 // returned desire is pre-clamp (it may sit below minW; the waterfill
-// clamps), matching the flat coordinator's arithmetic exactly.
+// clamps), matching the original flat coordinator's arithmetic
+// exactly.
 func (al *Allocator) rawDesireW(c Aggregate, minW float64) float64 {
 	desire := minW
 	if d := c.DesireW(); !math.IsNaN(d) {
@@ -167,8 +168,9 @@ func (al *Allocator) Allocate(budgetW, floorW float64, children []Aggregate, app
 	var lims []float64
 	if uniform {
 		// Every fresh child is guaranteed exactly the scalar floor —
-		// the leaf case. This path is the flat coordinator's
-		// arithmetic verbatim, including the pathological clamp.
+		// the leaf case. This path is the original flat
+		// coordinator's arithmetic verbatim, including the
+		// pathological clamp.
 		if min := floorW * float64(len(al.idx)); avail < min {
 			avail = min
 		}
@@ -198,7 +200,7 @@ func (al *Allocator) Allocate(budgetW, floorW float64, children []Aggregate, app
 // floor clamp up so no child starves. Provided floor*len(desires) <=
 // budget, the returned limits sum to at most budget.
 //
-// This is the flat coordinator's waterfill moved verbatim (scratch
+// This is the original flat coordinator's waterfill moved verbatim (scratch
 // reuse aside): the loop structure and every float operation are
 // unchanged, which the one-level byte-identity differential depends
 // on. The returned slice is the Allocator's scratch.

@@ -4,34 +4,32 @@
 // resources", §IV-A; compare Felter et al., cited in §II, on shared
 // budgets).
 //
-// A Coordinator steps every machine's session in lockstep and
-// periodically redistributes the global budget as per-machine PM
-// limits: each epoch a node's share follows its measured appetite,
-// floored so no node starves, so slack left by memory-bound phases
-// flows to power-hungry neighbours within the same global cap.
+// One coordinator loop (RunFleetContext, hierarchy.go) steps every
+// machine in lockstep and periodically redistributes the global budget
+// as per-machine PM limits: each epoch a node's share follows its
+// measured appetite, floored so no node starves, so slack left by
+// memory-bound phases flows to power-hungry neighbours within the same
+// global cap. Run is the flat entry point: a one-level fleet with
+// traces retained.
 //
-// Stepping is parallel: each tick the active sessions are stepped
+// Stepping is parallel: each tick the active nodes are stepped
 // concurrently across a persistent worker pool (Config.Workers), with
 // a barrier before the coordinator reads any node state. Traces are
-// identical for every worker count — each node owns its seeded RNG
-// and its tap, workers never share mutable state, and all cross-node
-// reads happen post-barrier in node-index order (see DESIGN.md,
-// "Parallel cluster coordinator").
+// identical for every worker count — each node owns its seeded RNG,
+// workers step disjoint lanes of one kernel.BatchState, and all
+// cross-node reads happen post-barrier in node-index order (see
+// DESIGN.md, "Parallel cluster coordinator").
 package cluster
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"aapm/internal/alloc"
 	"aapm/internal/control"
-	"aapm/internal/kernel"
 	"aapm/internal/machine"
 	"aapm/internal/metrics"
-	"aapm/internal/obs"
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
 	"aapm/internal/sensor"
@@ -71,26 +69,19 @@ type Config struct {
 	// in the coordinator goroutine (the serial reference). The traces
 	// are identical for every value.
 	Workers int
-	// Engine selects the per-node stepping backend: "batch" (the
-	// default) steps all nodes through one kernel.BatchState — the
-	// zero-allocation fast path when the run needs no hooks, the
-	// generic batch body when telemetry or observers are attached —
-	// while "staged" drives one machine.Session per node, the
-	// reference implementation. Traces are byte-identical between the
-	// two (the kernel's differential suite pins this); "staged" exists
-	// for cross-checks and honest baseline benchmarks.
-	Engine string
 	// Telemetry, when non-nil, receives the coordinator's live
 	// metrics: one aapm_* series set per node (via telemetry.Observer
-	// on each session's Hook bus), per-worker shard wall-clock
-	// histograms, reallocation-epoch and budget-violation counters,
-	// and per-node limit gauges. Purely observational — the registry
-	// never feeds back into stepping or reallocation, so traces stay
-	// byte-identical with telemetry enabled.
+	// on each node's Hook bus) plus the one-level fleet's aapm_fleet_*
+	// families — per-worker shard wall-clock histograms,
+	// reallocation-epoch and budget-violation counters, and the
+	// per-node limit gauges (aapm_fleet_group_budget_watts, level
+	// "0"). Purely observational — the registry never feeds back into
+	// stepping or reallocation, so traces stay byte-identical with
+	// telemetry enabled.
 	Telemetry *telemetry.Registry
 	// Observe, when non-nil, returns an extra Hook subscribed to node
-	// i's session before the run (nil return skips that node) — e.g.
-	// a telemetry.TraceEventWriter run hook per node.
+	// i's bus before the run (nil return skips that node) — e.g. a
+	// telemetry.TraceEventWriter run hook per node.
 	Observe func(i int, name string) machine.Hook
 }
 
@@ -144,361 +135,83 @@ func Run(cfg Config) (*Result, error) {
 // RunContext executes the co-simulation under ctx: cancellation (or a
 // deadline) is observed between lockstep ticks, abandoning the run
 // with ctx's error. A nil ctx behaves like context.Background.
+//
+// A flat cluster is a one-level fleet: the run is RunFleetContext with
+// Levels 1 and traces retained, and the result is copied over.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(cfg.Nodes)
-	if n == 0 {
-		return nil, fmt.Errorf("cluster: no nodes")
-	}
-	if cfg.BudgetW <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive budget")
-	}
-	floor := cfg.FloorW
-	if floor == 0 {
-		floor = 4
-	}
-	if floor*float64(n) > cfg.BudgetW {
-		return nil, fmt.Errorf("cluster: budget %.1f W cannot cover %d nodes at the %.1f W floor", cfg.BudgetW, n, floor)
-	}
 	epoch := cfg.EpochTicks
-	if epoch <= 0 {
-		epoch = 50
+	if cfg.Static {
+		// No tick is a positive multiple of MaxInt, so the fleet never
+		// reallocates and every node keeps BudgetW/n.
+		epoch = math.MaxInt
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-
-	share := cfg.BudgetW / float64(n)
-	machines := make([]*machine.Machine, n)
-	pms := make([]*control.PerformanceMaximizer, n)
-	names := make([]string, n)
-	var table *pstate.Table
-	for i, node := range cfg.Nodes {
-		name := node.Name
-		if name == "" {
-			name = node.Workload.Name
-		}
-		names[i] = name
-		m, err := machine.New(machine.Config{
-			Chain: cfg.Chain,
-			Seed:  cfg.Seed + int64(i)*7919,
-		})
-		if err != nil {
-			return nil, err
-		}
-		table = m.Table()
-		// Measured-power feedback tightens each node's estimates so the
-		// coordinator can pack the budget by real consumption instead
-		// of the DPC model's conservative projections.
-		pm, err := control.NewPerformanceMaximizer(control.PMConfig{LimitW: share, FeedbackGain: 0.25})
-		if err != nil {
-			return nil, err
-		}
-		machines[i] = m
-		pms[i] = pm
-	}
-	// hookRow assembles node i's observer hooks in the staged
-	// subscription order (telemetry, then Observe); nil when none.
-	hookRow := func(i int) []machine.Hook {
-		var hs []machine.Hook
-		if cfg.Telemetry != nil {
-			hs = append(hs, telemetry.NewObserver(cfg.Telemetry, names[i], "pm"))
-		}
-		if cfg.Observe != nil {
-			if h := cfg.Observe(i, names[i]); h != nil {
-				hs = append(hs, h)
+	observe := cfg.Observe
+	if reg := cfg.Telemetry; reg != nil {
+		observe = func(i int, name string) machine.Hook {
+			var h machine.Hook = telemetry.NewObserver(reg, name, "pm")
+			if cfg.Observe != nil {
+				if o := cfg.Observe(i, name); o != nil {
+					h = hookPair{h, o}
+				}
 			}
-		}
-		return hs
-	}
-	var eng engine
-	switch cfg.Engine {
-	case "", "batch":
-		bnodes := make([]kernel.BatchNode, n)
-		for i, node := range cfg.Nodes {
-			bnodes[i] = kernel.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
-		}
-		opts := kernel.BatchOptions{RetainTraces: true}
-		if cfg.Telemetry != nil || cfg.Observe != nil {
-			opts.Hooks = hookRow
-		}
-		bs, err := kernel.NewBatch(bnodes, opts)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		eng = &batchEngine{b: bs}
-	case "staged":
-		se := &sessionEngine{
-			sessions: make([]*machine.Session, n),
-			taps:     make([]*nodeTap, n),
-			errs:     make([]error, n),
-		}
-		for i, node := range cfg.Nodes {
-			s, err := machines[i].NewSession(node.Workload, pms[i])
-			if err != nil {
-				return nil, fmt.Errorf("cluster: node %s: %w", names[i], err)
-			}
-			se.taps[i] = &nodeTap{}
-			s.Subscribe(se.taps[i])
-			for _, h := range hookRow(i) {
-				s.Subscribe(h)
-			}
-			se.sessions[i] = s
-		}
-		eng = se
-	default:
-		return nil, fmt.Errorf("cluster: unknown engine %q", cfg.Engine)
-	}
-
-	st := &stepper{
-		workers: workers,
-		n:       n,
-		step:    eng.step,
-		stepped: make([]bool, n),
-		wall:    make([]metrics.WallClock, workers),
-	}
-	var ct *clusterTelemetry
-	if cfg.Telemetry != nil {
-		ct = newClusterTelemetry(cfg.Telemetry, cfg.BudgetW, n, workers, names)
-		st.shardWall = ct.shardWall
-	}
-	var pool *workerPool
-	if workers > 1 {
-		pool = newWorkerPool(ctx, "cluster", workers, st.shard)
-		defer pool.close()
-	}
-
-	// Tracing is epoch-granular: with an unsampled (or absent) trace
-	// the per-tick loop does no span work at all — the nil-safe guard
-	// below is the only cost, and the tracing-off budget test pins it.
-	tr := obs.FromContext(ctx)
-	spans := newCoordSpans(tr, machines[0].SamplePeriod(), st, workers)
-
-	res := &Result{Names: names, Workers: workers}
-	limits := make([]float64, n) // each node's current share
-	for i := range limits {
-		limits[i] = share
-	}
-	// Per-epoch accumulators: usable (finite) measured power and
-	// observed decode rate, and the count of usable ticks. recentN==0
-	// at a reallocation means the node produced no usable observation
-	// the whole epoch.
-	recentW := make([]float64, n)
-	recentDPC := make([]float64, n)
-	recentN := make([]int, n)
-	lastSeq := make([]uint64, n)  // tap sequence at the previous tick
-	epochFresh := make([]bool, n) // tap advanced at all this epoch
-	demands := make([]demand, n)
-	var intervals, overIntervals, contended, overContended int
-
-	for tick := 0; ; tick++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("cluster: abandoned after %d ticks: %w", tick, err)
-		}
-		for i := range st.stepped {
-			st.stepped[i] = false
-		}
-		if pool != nil {
-			pool.tick()
-		} else {
-			st.shard(0)
-		}
-		t0 := time.Now()
-		// Post-barrier: every cross-node read below happens in
-		// node-index order on the coordinator goroutine, so the
-		// aggregate state is identical for every worker count. The
-		// first error by node index wins, deterministically.
-		for i := 0; i < n; i++ {
-			if err := eng.err(i); err != nil {
-				return nil, fmt.Errorf("cluster: node %s: %w", names[i], err)
-			}
-		}
-		anyActive := false
-		allActive := true
-		var totalW float64
-		for i := 0; i < n; i++ {
-			if !st.stepped[i] {
-				allActive = false
-				continue
-			}
-			anyActive = true
-			// Only a node refreshed by this tick contributes; a node
-			// that stepped into completion without emitting an interval
-			// would otherwise replay its previous tick's power.
-			if eng.seq(i) == lastSeq[i] {
-				continue
-			}
-			lastSeq[i] = eng.seq(i)
-			epochFresh[i] = true
-			w := eng.lastPowerW(i)
-			dpc := eng.lastDPC(i)
-			if !usable(w) || !usable(dpc) {
-				continue
-			}
-			totalW += w
-			recentW[i] += w
-			recentDPC[i] += dpc
-			recentN[i]++
-		}
-		if !anyActive {
-			res.CoordWall.Add(time.Since(t0))
-			spans.finish(tick)
-			break
-		}
-		intervals++
-		if totalW > res.PeakTotalW {
-			res.PeakTotalW = totalW
-		}
-		over := totalW > cfg.BudgetW
-		if over {
-			overIntervals++
-		}
-		if allActive {
-			contended++
-			if over {
-				overContended++
-			}
-		}
-		if ct != nil {
-			ct.tick(totalW, over, allActive)
-		}
-
-		if !cfg.Static && tick > 0 && tick%epoch == 0 {
-			for i := range demands {
-				assembleDemand(&demands[i], eng.done(i), recentW[i], recentDPC[i], recentN[i], epochFresh[i], eng.seq(i), eng.lastDPC(i))
-			}
-			reallocStart := time.Now()
-			reallocate(cfg.BudgetW, floor, table, demands, pms, limits)
-			spans.reallocEpoch(tick, reallocStart, cfg.BudgetW, recentW, recentDPC, recentN)
-			for i := range recentW {
-				recentW[i], recentDPC[i], recentN[i], epochFresh[i] = 0, 0, 0, false
-			}
-			if ct != nil {
-				ct.epoch(limits)
-			}
-		}
-		res.CoordWall.Add(time.Since(t0))
-	}
-
-	// Fold every worker's shard timing into one aggregate; Merge
-	// keeps the Min/Max tails, so a straggler worker stays visible in
-	// the merged distribution.
-	res.WorkerWall = st.wall
-	for k := range st.wall {
-		res.TickWall.Merge(st.wall[k])
-	}
-
-	for i := 0; i < n; i++ {
-		run := eng.result(i)
-		res.Runs = append(res.Runs, run)
-		res.MachineSeconds += run.Duration.Seconds()
-		if run.Duration > res.Makespan {
-			res.Makespan = run.Duration
+			return h
 		}
 	}
-	if intervals > 0 {
-		res.OverFrac = float64(overIntervals) / float64(intervals)
+	fr, err := RunFleetContext(ctx, FleetConfig{
+		BudgetW:      cfg.BudgetW,
+		Nodes:        cfg.Nodes,
+		Seed:         cfg.Seed,
+		Chain:        cfg.Chain,
+		EpochTicks:   epoch,
+		FloorW:       cfg.FloorW,
+		Workers:      cfg.Workers,
+		Levels:       1,
+		RetainTraces: true,
+		Telemetry:    cfg.Telemetry,
+		Observe:      observe,
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.ContendedIntervals = contended
-	if contended > 0 {
-		res.ContendedOverFrac = float64(overContended) / float64(contended)
-	}
-	return res, nil
+	return &Result{
+		Runs:               fr.Runs,
+		Names:              fr.Names,
+		MachineSeconds:     fr.MachineSeconds,
+		Makespan:           fr.Makespan,
+		PeakTotalW:         fr.PeakTotalW,
+		OverFrac:           fr.OverFrac,
+		ContendedOverFrac:  fr.ContendedOverFrac,
+		ContendedIntervals: fr.ContendedIntervals,
+		Workers:            fr.Workers,
+		TickWall:           fr.TickWall,
+		WorkerWall:         fr.WorkerWall,
+		CoordWall:          fr.CoordWall,
+	}, nil
 }
 
-// usable reports whether a tap observation is fit for accumulation
+// hookPair fans one node's bus events out to two hooks, in order.
+type hookPair [2]machine.Hook
+
+func (p hookPair) OnTick(ts machine.TickState)        { p[0].OnTick(ts); p[1].OnTick(ts) }
+func (p hookPair) OnTransition(tr machine.Transition) { p[0].OnTransition(tr); p[1].OnTransition(tr) }
+func (p hookPair) OnDegradation(d trace.Degradation)  { p[0].OnDegradation(d); p[1].OnDegradation(d) }
+func (p hookPair) OnDone(r *trace.Run)                { p[0].OnDone(r); p[1].OnDone(r) }
+
+// usable reports whether a node observation is fit for accumulation
 // (faulted sensors and counters can hand the coordinator NaN/Inf).
 func usable(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) && v >= 0 }
 
-// nodeTap subscribes to one node's tick bus and keeps the latest
-// interval's observations for the coordinator, replacing the old
-// pattern of groping the node's trace via LastRow. Each tap is owned
-// by exactly one node: during a tick only that node's stepping worker
-// writes it, and the coordinator reads it only after the barrier.
-type nodeTap struct {
-	machine.BaseHook
-	last machine.TickState
-	seq  uint64 // increments per OnTick, so the coordinator can spot stale data
-	ok   bool
-}
-
-// OnTick implements machine.Hook.
-func (t *nodeTap) OnTick(ts machine.TickState) { t.last, t.ok = ts, true; t.seq++ }
-
-// engine abstracts the per-node stepping backend the coordinator
-// drives. Both implementations expose the same post-barrier view:
-// step advances an active node and reports whether it was stepped;
-// seq counts emitted intervals so the coordinator can spot nodes that
-// stepped without emitting (stale observations); lastPowerW/lastDPC
-// are the most recent interval's governor-visible observations.
-type engine interface {
-	step(i int) bool
-	err(i int) error
-	done(i int) bool
-	seq(i int) uint64
-	lastPowerW(i int) float64
-	lastDPC(i int) float64
-	result(i int) *trace.Run
-}
-
-// sessionEngine is the staged reference backend: one machine.Session
-// per node, observed through a nodeTap on each session's hook bus.
-type sessionEngine struct {
-	sessions []*machine.Session
-	taps     []*nodeTap
-	errs     []error
-}
-
-func (e *sessionEngine) step(i int) bool {
-	s := e.sessions[i]
-	if s.Done() || e.errs[i] != nil {
-		return false
-	}
-	if _, err := s.Step(); err != nil {
-		e.errs[i] = err
-	}
-	return true
-}
-func (e *sessionEngine) err(i int) error          { return e.errs[i] }
-func (e *sessionEngine) done(i int) bool          { return e.sessions[i].Done() }
-func (e *sessionEngine) seq(i int) uint64         { return e.taps[i].seq }
-func (e *sessionEngine) lastPowerW(i int) float64 { return e.taps[i].last.MeasuredPowerW }
-func (e *sessionEngine) lastDPC(i int) float64    { return e.taps[i].last.Observed.DPC() }
-func (e *sessionEngine) result(i int) *trace.Run  { return e.sessions[i].Result() }
-
-// batchEngine is the kernel fast path: all nodes live in one
-// BatchState whose lanes the pool's shards step concurrently over
-// disjoint index ranges. The coordinator's observations come from the
-// kernel's per-node accessors instead of a hook tap, which keeps the
-// specialized (hook-free) step bodies eligible.
-type batchEngine struct {
-	b *kernel.BatchState
-}
-
-func (e *batchEngine) step(i int) bool          { return e.b.StepNode(i) }
-func (e *batchEngine) err(i int) error          { return e.b.NodeErr(i) }
-func (e *batchEngine) done(i int) bool          { return e.b.NodeDone(i) }
-func (e *batchEngine) seq(i int) uint64         { return e.b.Seq(i) }
-func (e *batchEngine) lastPowerW(i int) float64 { return e.b.LastPowerW(i) }
-func (e *batchEngine) lastDPC(i int) float64    { return e.b.LastDPC(i) }
-func (e *batchEngine) result(i int) *trace.Run  { return e.b.Result(i) }
-
 // demand is one node's reallocation input, assembled post-barrier by
-// the coordinator from the epoch accumulators and the node's tap.
+// the coordinator from the epoch accumulators and the node's latest
+// observation.
 type demand struct {
 	// active is false once the node finished (its share is released).
 	active bool
 	// hold keeps the node's previous share: it is active but produced
-	// no fresh observation all epoch, so its tap is stale.
+	// no fresh observation all epoch, so its latest one is stale.
 	hold bool
 	// useDPC marks dpc as valid; dpc is the epoch-average (or, as a
-	// fallback, last-tap) decode rate the desire is evaluated at.
+	// fallback, last-observed) decode rate the desire is evaluated at.
 	useDPC bool
 	dpc    float64
 	// avgW is the epoch-average measured power (0 when unknown): a
@@ -508,10 +221,9 @@ type demand struct {
 }
 
 // assembleDemand builds one node's reallocation input from its epoch
-// accumulators and tap state. Shared verbatim by the flat coordinator
-// and the fleet hierarchy so the two cannot drift: done/seq/lastDPC
-// come from the engine's post-barrier accessors, the rest are the
-// coordinator's per-epoch accumulators.
+// accumulators and latest observation: done/seq/lastDPC come from the
+// kernel's post-barrier accessors, the rest are the coordinator's
+// per-epoch accumulators.
 func assembleDemand(d *demand, done bool, recentW, recentDPC float64, recentN int, epochFresh bool, seq uint64, lastDPC float64) {
 	*d = demand{active: !done}
 	if !d.active {
@@ -525,14 +237,14 @@ func assembleDemand(d *demand, done bool, recentW, recentDPC float64, recentN in
 		d.dpc = recentDPC / float64(recentN)
 		d.avgW = recentW / float64(recentN)
 	case !epochFresh && seq > 0:
-		// The tap was last written in an earlier epoch: the
-		// node has effectively gone dark (e.g. degraded
+		// The node last emitted in an earlier epoch: it
+		// has effectively gone dark (e.g. degraded
 		// offline mid-epoch). Hold its previous share rather
 		// than reallocating on stale data.
 		d.hold = true
 	case seq > 0 && usable(lastDPC):
-		// Fresh tap but no full-epoch average (e.g. power
-		// readings dropped all epoch): fall back to the tap.
+		// Fresh observation but no full-epoch average (e.g.
+		// power readings dropped all epoch): fall back to it.
 		d.useDPC = true
 		d.dpc = lastDPC
 	}
@@ -570,86 +282,40 @@ func (a *nodeAgg) RecentPowerW() float64       { return a.d.avgW }
 func (a *nodeAgg) RecentDPC() float64          { return a.d.dpc }
 func (a *nodeAgg) MinW(floorW float64) float64 { return floorW }
 
-// reallocate redistributes the budget over the active nodes' demands:
-// each node with a usable epoch average asks for the power its PM
-// would need to run the top p-state at that average decode rate (at
-// least its average measured draw), held nodes keep their previous
-// share off the top of the budget, and finished nodes release theirs.
-// limits is updated in place with each node's new share. The policy
-// and waterfill live in package alloc (the level-agnostic layer the
-// fleet hierarchy reuses); this is the one-level leaf adapter.
-func reallocate(budget, floor float64, table *pstate.Table, demands []demand, pms []*control.PerformanceMaximizer, limits []float64) {
-	aggs := make([]nodeAgg, len(demands))
-	children := make([]alloc.Aggregate, len(demands))
-	for i := range demands {
-		aggs[i] = nodeAgg{d: &demands[i], pm: pms[i], table: table, limits: limits, i: i}
-		children[i] = &aggs[i]
-	}
-	al := alloc.Allocator{MarginW: budgetMarginW, OnDecision: debugHook}
-	al.Allocate(budget, floor, children, func(i int, w float64) {
-		limits[i] = w
-		pms[i].SetLimit(w)
-	})
+// leafAlloc is the fleet's level-0 allocation: one nodeAgg adapter per
+// node over the coordinator's demand records, with each grant applied
+// to the node's recorded share and its PM limit.
+type leafAlloc struct {
+	kids   []alloc.Aggregate
+	limits []float64
+	pms    []*control.PerformanceMaximizer
 }
 
-// debugHook, when set by tests, receives each reallocation decision.
-var debugHook func(node int, desire, limit float64)
+func newLeafAlloc(table *pstate.Table, demands []demand, pms []*control.PerformanceMaximizer, limits []float64) *leafAlloc {
+	aggs := make([]nodeAgg, len(demands))
+	kids := make([]alloc.Aggregate, len(demands))
+	for i := range aggs {
+		aggs[i] = nodeAgg{d: &demands[i], pm: pms[i], table: table, limits: limits, i: i}
+		kids[i] = &aggs[i]
+	}
+	return &leafAlloc{kids: kids, limits: limits, pms: pms}
+}
+
+// allocate redistributes budget over nodes [lo, hi): each node with a
+// usable epoch average asks for the power its PM would need to run the
+// top p-state at that average decode rate (at least its average
+// measured draw), held nodes keep their previous share off the top of
+// the budget, and finished nodes release theirs. The policy and
+// waterfill live in package alloc.
+func (la *leafAlloc) allocate(al *alloc.Allocator, budget, floor float64, lo, hi int) {
+	al.Allocate(budget, floor, la.kids[lo:hi], func(k int, w float64) {
+		i := lo + k
+		la.limits[i] = w
+		la.pms[i].SetLimit(w)
+	})
+}
 
 // shardWallBuckets are the per-worker shard-step histogram bounds in
 // seconds: a shard-tick is typically single-digit microseconds, with
 // a long tail under contention.
 var shardWallBuckets = []float64{1e-6, 2e-6, 5e-6, 1e-5, 2e-5, 5e-5, 1e-4, 5e-4, 1e-3, 1e-2}
-
-// clusterTelemetry owns the coordinator-level series: cluster-wide
-// gauges and counters updated post-barrier on the coordinator
-// goroutine, plus the per-worker shard histograms written by the
-// stepping workers (the registry serializes those internally).
-type clusterTelemetry struct {
-	totalW     *telemetry.Series
-	overBudget *telemetry.Series
-	intervals  *telemetry.Series
-	contended  *telemetry.Series
-	epochs     *telemetry.Series
-	limitBy    []*telemetry.Series
-	shardWall  []*telemetry.Series
-}
-
-func newClusterTelemetry(reg *telemetry.Registry, budget float64, n, workers int, names []string) *clusterTelemetry {
-	ct := &clusterTelemetry{}
-	reg.Gauge("aapm_cluster_nodes", "Nodes in the shared-budget co-simulation.").With().Set(float64(n))
-	reg.Gauge("aapm_cluster_budget_watts", "Global power cap the per-node limits sum to.").With().Set(budget)
-	ct.totalW = reg.Gauge("aapm_cluster_total_power_watts", "Sum of measured node powers over the last lockstep interval.").With()
-	ct.intervals = reg.Counter("aapm_cluster_intervals_total", "Lockstep intervals stepped.").With()
-	ct.overBudget = reg.Counter("aapm_cluster_over_budget_intervals_total", "Lockstep intervals whose total measured power exceeded the budget.").With()
-	ct.contended = reg.Counter("aapm_cluster_contended_intervals_total", "Lockstep intervals where every node was still active.").With()
-	ct.epochs = reg.Counter("aapm_cluster_reallocation_epochs_total", "Budget reallocation epochs completed.").With()
-	limits := reg.Gauge("aapm_cluster_node_limit_watts", "Current per-node PM power limit.", "node")
-	for _, name := range names {
-		ct.limitBy = append(ct.limitBy, limits.With(name))
-	}
-	shard := reg.Histogram("aapm_cluster_shard_wall_seconds", "Per-worker wall-clock to step one shard for one tick.", shardWallBuckets, "worker")
-	for k := 0; k < workers; k++ {
-		ct.shardWall = append(ct.shardWall, shard.With(fmt.Sprint(k)))
-	}
-	return ct
-}
-
-// tick publishes one lockstep interval's aggregates.
-func (ct *clusterTelemetry) tick(totalW float64, over, allActive bool) {
-	ct.totalW.Set(totalW)
-	ct.intervals.Inc()
-	if over {
-		ct.overBudget.Inc()
-	}
-	if allActive {
-		ct.contended.Inc()
-	}
-}
-
-// epoch publishes one reallocation's outcome.
-func (ct *clusterTelemetry) epoch(limits []float64) {
-	ct.epochs.Inc()
-	for i, l := range limits {
-		ct.limitBy[i].Set(l)
-	}
-}

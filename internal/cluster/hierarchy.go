@@ -1,21 +1,20 @@
-// Hierarchical fleet coordinator: the flat shared-budget loop scaled
-// to 10⁵+ nodes by running the level-agnostic allocator (package
-// alloc) at every tier of a tree. Leaves are index ranges of one
-// kernel.BatchState stepped by the existing worker pool; interior
-// levels aggregate their children's epoch demands into group
-// summaries and re-run the same Allocator; the root holds the global
-// cap. Grouping is by consecutive node index with a fixed fanout, so
-// group membership is a pure function of (index, fanout) and needs no
+// The coordinator loop: shared-budget co-simulation scaled to 10⁵+
+// nodes by running the level-agnostic allocator (package alloc) at
+// every tier of a tree. Leaves are index ranges of one
+// kernel.BatchState stepped by the worker pool; interior levels
+// aggregate their children's epoch demands into group summaries and
+// re-run the same Allocator; the root holds the global cap. Grouping
+// is by consecutive node index with a fixed fanout, so group
+// membership is a pure function of (index, fanout) and needs no
 // per-node storage.
 //
 // Determinism anchor: with Levels == 1 the hierarchy degenerates to a
-// single Allocate over all leaves — operation-for-operation the flat
-// coordinator's reallocation — so traces, energy integrals and
-// degradation logs are byte-identical to Run on the same Config
-// inputs. With Levels > 1 every cross-node read still happens
-// post-barrier in index order on the coordinator goroutine and the
-// top-down recursion visits groups in index order, so traces are
-// byte-identical for every worker count.
+// single Allocate over all leaves — the flat cluster Run executes,
+// whose traces are pinned byte for byte against the staged-session
+// reference by a committed golden fixture. At any depth every
+// cross-node read happens post-barrier in index order on the
+// coordinator goroutine and the top-down recursion visits groups in
+// index order, so traces are byte-identical for every worker count.
 //
 // Memory: the per-node footprint is the BatchState's lanes plus one
 // machine/PM/run header — no per-node goroutines, hooks, RNGs (unless
@@ -64,8 +63,8 @@ type FleetConfig struct {
 	Workers int
 	// Levels is the allocation-tree depth above the leaves: 1 (the
 	// default) is the root allocating straight over nodes — the flat
-	// coordinator, byte for byte; 2 inserts one tier of groups; and so
-	// on. Each extra level re-runs the same allocator over the level
+	// cluster Run executes; 2 inserts one tier of groups; and so on.
+	// Each extra level re-runs the same allocator over the level
 	// below's aggregates.
 	Levels int
 	// Fanout is the maximum children per group (consecutive node
@@ -89,10 +88,15 @@ type FleetConfig struct {
 	// default: at fleet scale the rows dwarf the simulation state.
 	RetainTraces bool
 	// Telemetry, when non-nil, receives the fleet-level series:
-	// per-level group budgets and over-budget counters, per-level
-	// allocation wall, and the cluster-wide aggregates. Purely
-	// observational.
+	// per-level group budgets (level 0 being the per-node PM limits)
+	// and over-budget counters, per-level allocation wall, and the
+	// cluster-wide aggregates. Purely observational.
 	Telemetry *telemetry.Registry
+	// Observe, when non-nil, returns an extra Hook subscribed to node
+	// i's bus before the run (nil return skips that node), as
+	// Config.Observe. Any hook moves the whole batch off the kernel's
+	// hook-free step bodies onto the generic one.
+	Observe func(i int, name string) machine.Hook
 }
 
 // FleetResult is the hierarchical co-simulation outcome. The flat
@@ -257,7 +261,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 
 	// One ground truth (and so one p-state table) for the whole fleet:
 	// the per-node values are identical to what machine.New would build
-	// per node, so traces match the flat coordinator bit for bit, but a
+	// per node, so traces match per-node machines bit for bit, but a
 	// single shared table keeps the kernel's interned behavior/frequency
 	// caches to one entry set instead of one per node.
 	truth := power.PentiumM755Truth()
@@ -295,19 +299,27 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	for i, node := range cfg.Nodes {
 		bnodes[i] = kernel.BatchNode{Machine: machines[i], Workload: node.Workload, Governor: pms[i]}
 	}
-	bs, err := kernel.NewBatch(bnodes, kernel.BatchOptions{RetainTraces: cfg.RetainTraces})
+	opts := kernel.BatchOptions{RetainTraces: cfg.RetainTraces}
+	if cfg.Observe != nil {
+		opts.Hooks = func(i int) []machine.Hook {
+			if h := cfg.Observe(i, names[i]); h != nil {
+				return []machine.Hook{h}
+			}
+			return nil
+		}
+	}
+	bs, err := kernel.NewBatch(bnodes, opts)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	eng := &batchEngine{b: bs}
 
 	// Control-plane state: node overrides are written post-barrier on
 	// the coordinator goroutine and read by the workers only after the
 	// next generation advance, so the pool's happens-before edges cover
 	// them. With Control nil none of this exists and the step function
-	// is the engine's, untouched.
+	// is the kernel's, untouched.
 	ctl := cfg.Control
-	stepFn := eng.step
+	stepFn := bs.StepNode
 	var nodeOv []NodeOverride
 	var ctlW []float64
 	ctlTicks := 0
@@ -320,7 +332,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			if nodeOv[i] == NodeOffline {
 				return false
 			}
-			return eng.step(i)
+			return bs.StepNode(i)
 		}
 	}
 
@@ -370,15 +382,13 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	// level (scratch is reused across epochs, and the top-down
 	// recursion runs level l's Allocate to completion inside level
 	// l+1's apply callback, so per-level instances never re-enter).
-	leafAggs := make([]nodeAgg, n)
-	leafKids := make([]alloc.Aggregate, n)
-	for i := range leafAggs {
-		leafAggs[i] = nodeAgg{d: &demands[i], pm: pms[i], table: table, limits: limits, i: i}
-		leafKids[i] = &leafAggs[i]
-	}
+	leaves := newLeafAlloc(table, demands, pms, limits)
 	groupAggs := make([][]groupAgg, levels)
 	groupKids := make([][]alloc.Aggregate, levels)
+	// budgets[l][g] is level-l entity g's current grant; the leaves'
+	// grants are their limits.
 	budgets := make([][]float64, levels)
+	budgets[0] = limits
 	for l := 1; l < levels; l++ {
 		groupAggs[l] = make([]groupAgg, shape.counts[l])
 		groupKids[l] = make([]alloc.Aggregate, shape.counts[l])
@@ -390,13 +400,6 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			lo := g * shape.spanSize[l]
 			hi := min(lo+shape.spanSize[l], n)
 			budgets[l][g] = cfg.BudgetW * float64(hi-lo) / float64(n)
-		}
-	}
-	applyLeaf := func(lo int) func(k int, w float64) {
-		return func(k int, w float64) {
-			i := lo + k
-			limits[i] = w
-			pms[i].SetLimit(w)
 		}
 	}
 	allocators := make([]alloc.Allocator, levels)
@@ -416,7 +419,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		}
 		al := &allocators[l]
 		if l == 0 {
-			al.Allocate(budget, floor, leafKids[lo:hi], applyLeaf(lo))
+			leaves.allocate(al, budget, floor, lo, hi)
 		} else {
 			al.Allocate(budget, floor, groupKids[l][lo:hi], func(k int, w float64) {
 				g := lo + k
@@ -446,7 +449,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	var dirGroups [][]GroupDirective
 	aggregate := func() {
 		for l := 1; l < levels; l++ {
-			kids := leafKids
+			kids := leaves.kids
 			if l > 1 {
 				kids = groupKids[l-1]
 			}
@@ -511,30 +514,40 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 			st.shard(0)
 		}
 		t0 := time.Now()
-		// Post-barrier: identical structure (and index order) to the
-		// flat coordinator's aggregation pass.
+		// Post-barrier: every cross-node read below happens in
+		// node-index order on the coordinator goroutine, so the
+		// aggregate state is identical for every worker count. The
+		// first error by node index wins, deterministically.
 		for i := 0; i < n; i++ {
-			if err := eng.err(i); err != nil {
+			if err := bs.NodeErr(i); err != nil {
 				return nil, fmt.Errorf("fleet: node %s: %w", names[i], err)
 			}
 		}
 		anyActive := false
 		allActive := true
 		var totalW float64
+		// Counted locally and folded in once per tick: a per-node store
+		// to the heap-allocated result costs a cache-line round trip
+		// whenever the result shares a line with state the workers
+		// touch.
+		var stepped int64
 		for i := 0; i < n; i++ {
 			if !st.stepped[i] {
 				allActive = false
 				continue
 			}
 			anyActive = true
-			res.NodeTicks++
-			if eng.seq(i) == lastSeq[i] {
+			stepped++
+			// Only a node refreshed by this tick contributes; a node
+			// that stepped into completion without emitting an interval
+			// would otherwise replay its previous tick's power.
+			if bs.Seq(i) == lastSeq[i] {
 				continue
 			}
-			lastSeq[i] = eng.seq(i)
+			lastSeq[i] = bs.Seq(i)
 			epochFresh[i] = true
-			w := eng.lastPowerW(i)
-			dpc := eng.lastDPC(i)
+			w := bs.LastPowerW(i)
+			dpc := bs.LastDPC(i)
 			if !usable(w) || !usable(dpc) {
 				continue
 			}
@@ -549,6 +562,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 				ctlW[i/fanout] += w
 			}
 		}
+		res.NodeTicks += stepped
 		if !anyActive {
 			res.CoordWall.Add(time.Since(t0))
 			spans.finish(tick)
@@ -577,11 +591,11 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 
 		if tick > 0 && tick%epoch == 0 {
 			for i := range demands {
-				done := eng.done(i)
+				done := bs.NodeDone(i)
 				if nodeOv != nil && nodeOv[i] == NodeOffline {
 					done = true
 				}
-				assembleDemand(&demands[i], done, recentW[i], recentDPC[i], recentN[i], epochFresh[i], eng.seq(i), eng.lastDPC(i))
+				assembleDemand(&demands[i], done, recentW[i], recentDPC[i], recentN[i], epochFresh[i], bs.Seq(i), bs.LastDPC(i))
 			}
 			if ctl != nil {
 				dirGroups, nodeOv = runControlEpoch(ctl, controlEpochIn{
@@ -629,6 +643,9 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 		res.CoordWall.Add(time.Since(t0))
 	}
 
+	// Fold every worker's shard timing into one aggregate; Merge
+	// keeps the Min/Max tails, so a straggler worker stays visible in
+	// the merged distribution.
 	res.WorkerWall = st.wall
 	for k := range st.wall {
 		res.TickWall.Merge(st.wall[k])
@@ -636,7 +653,7 @@ func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error)
 	res.Intervals = intervals
 	res.Runs = make([]*trace.Run, n)
 	for i := 0; i < n; i++ {
-		run := eng.result(i)
+		run := bs.Result(i)
 		res.Runs[i] = run
 		res.MachineSeconds += run.Duration.Seconds()
 		if run.Duration > res.Makespan {
@@ -681,9 +698,10 @@ func SyntheticFleet(n, ticks int) []Node {
 }
 
 // maxGroupSeries caps per-group telemetry: a level with more groups
-// than this gets one aggregated over-budget series (group="all") and
-// no per-group budget gauges, so a 100k-node fleet does not mint tens
-// of thousands of series.
+// (or, at level 0, nodes) than this gets no per-group budget gauges
+// and, above the leaves, one aggregated over-budget series
+// (group="all"), so a 100k-node fleet does not mint tens of thousands
+// of series.
 const maxGroupSeries = 64
 
 // fleetEpochWallBuckets bound the per-level allocation wall: leaf
@@ -702,9 +720,11 @@ type fleetTelemetry struct {
 	contended *telemetry.Series
 	epochs    *telemetry.Series
 	overRoot  *telemetry.Series
-	// overBy[l][g] / budgetBy[l][g] are per-group series for interior
-	// level l (nil rows when the level exceeds maxGroupSeries, in
-	// which case overAll[l] aggregates the group-interval violations).
+	// overBy[l][g] / budgetBy[l][g] are per-group series at level l
+	// (nil rows when the level exceeds maxGroupSeries, in which case
+	// overAll[l] aggregates the group-interval violations). Level 0
+	// has budget gauges only: its groups are the nodes, its budgets
+	// their PM limits.
 	overBy    [][]*telemetry.Series
 	overAll   []*telemetry.Series
 	budgetBy  [][]*telemetry.Series
@@ -729,7 +749,7 @@ func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, sha
 	ft.epochs = reg.Counter("aapm_fleet_reallocation_epochs_total", "Budget reallocation epochs completed.").With()
 	over := reg.Counter("aapm_fleet_over_budget_intervals_total", "Intervals where measured power exceeded the budget at the labeled level/group (level \"root\" is the global cap; group \"all\" aggregates levels too wide for per-group series).", "level", "group")
 	ft.overRoot = over.With("root", "")
-	groupBudget := reg.Gauge("aapm_fleet_group_budget_watts", "Budget granted to the labeled interior group at the last reallocation.", "level", "group")
+	groupBudget := reg.Gauge("aapm_fleet_group_budget_watts", "Budget granted to the labeled group at the last reallocation (level \"0\" groups are nodes, their budgets the PM limits).", "level", "group")
 	ft.overBy = make([][]*telemetry.Series, shape.levels)
 	ft.budgetBy = make([][]*telemetry.Series, shape.levels)
 	ft.overAll = make([]*telemetry.Series, shape.levels)
@@ -742,6 +762,13 @@ func newFleetTelemetry(reg *telemetry.Registry, budget float64, workers int, sha
 		}
 		for g := 0; g < shape.counts[l]; g++ {
 			ft.overBy[l] = append(ft.overBy[l], over.With(fmt.Sprint(l), fmt.Sprint(g)))
+		}
+	}
+	for l := 0; l < shape.levels; l++ {
+		if shape.counts[l] > maxGroupSeries {
+			continue
+		}
+		for g := 0; g < shape.counts[l]; g++ {
 			ft.budgetBy[l] = append(ft.budgetBy[l], groupBudget.With(fmt.Sprint(l), fmt.Sprint(g)))
 		}
 	}
@@ -800,7 +827,7 @@ func (ft *fleetTelemetry) tick(totalW float64, over, allActive bool, budgets [][
 // budgets and the per-level allocation wall.
 func (ft *fleetTelemetry) epoch(budgets [][]float64) {
 	ft.epochs.Inc()
-	for l := 1; l < ft.shape.levels; l++ {
+	for l := range ft.budgetBy {
 		for g, s := range ft.budgetBy[l] {
 			s.Set(budgets[l][g])
 		}

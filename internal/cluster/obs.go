@@ -8,8 +8,8 @@ import (
 
 // coordSpans records a coordinator run's epoch-granularity spans on
 // the job trace carried by the run's context: one "reallocate" span
-// per epoch (per level, for the fleet hierarchy) and one "shard-step"
-// span per worker covering the ticks between reallocations. It exists
+// per epoch per tree level and one "shard-step" span per worker
+// covering the ticks between reallocations. It exists
 // only when the trace is sampled — a nil *coordSpans is the off state,
 // every method is nil-safe, and nothing here runs per tick — so with
 // tracing off (or unsampled) the coordinator's hot loop is unchanged
@@ -22,8 +22,8 @@ type coordSpans struct {
 	wallMark []time.Duration // st.wall[k].Total at the last boundary
 	from     int             // tick the current shard-span window opened at
 
-	// levelWall/levelCount track the fleet hierarchy's per-level
-	// allocation wall between epochs (nil for the flat coordinator).
+	// levelWall/levelCount track the per-level allocation wall between
+	// epochs.
 	levelWall  []time.Duration
 	levelCount []int
 }
@@ -47,8 +47,8 @@ func newCoordSpans(tr *obs.Trace, period time.Duration, st *stepper, workers int
 // setup cost — a time.Now before an Allocate — guard on it).
 func (c *coordSpans) active() bool { return c != nil }
 
-// trackLevels arms per-level allocation-wall accounting for the fleet
-// hierarchy; counts[l] is the entity count at level l.
+// trackLevels arms per-level allocation-wall accounting; counts[l] is
+// the entity count at level l.
 func (c *coordSpans) trackLevels(counts []int) {
 	if c == nil {
 		return
@@ -59,46 +59,13 @@ func (c *coordSpans) trackLevels(counts []int) {
 
 // levelDur folds one distribute call's wall into its level.
 func (c *coordSpans) levelDur(l int, d time.Duration) {
-	if c == nil || c.levelWall == nil {
+	if c == nil {
 		return
 	}
 	c.levelWall[l] += d
 }
 
-// reallocEpoch records the flat coordinator's reallocation at tick:
-// the reallocate span (with the epoch's demand aggregates, read before
-// the caller resets the accumulators) and the shard-step spans for the
-// window that just closed.
-func (c *coordSpans) reallocEpoch(tick int, reallocStart time.Time, budgetW float64, recentW, recentDPC []float64, recentN []int) {
-	if c == nil {
-		return
-	}
-	var sumW, sumDPC float64
-	var cnt int
-	for i := range recentN {
-		sumW += recentW[i]
-		sumDPC += recentDPC[i]
-		cnt += recentN[i]
-	}
-	attrs := map[string]float64{
-		"budget_w": budgetW,
-		"nodes":    float64(len(recentN)),
-	}
-	if cnt > 0 {
-		attrs["avg_node_power_w"] = sumW / float64(cnt)
-		attrs["avg_node_dpc"] = sumDPC / float64(cnt)
-	}
-	c.tr.Record(obs.Span{
-		Name:      "reallocate",
-		VirtUS:    float64(tick) * c.periodUS,
-		Start:     reallocStart,
-		WallDurUS: float64(time.Since(reallocStart)) / float64(time.Microsecond),
-		Attrs:     attrs,
-	})
-	c.shardSpans(tick)
-}
-
-// fleetEpoch records the hierarchy's reallocation at tick: one
+// fleetEpoch records the reallocation at tick: one
 // reallocate span per level (wall from the distribute recursion,
 // deepest level first so the Perfetto nesting reads root-outward) and
 // the window's shard-step spans.

@@ -49,8 +49,8 @@ func sampledCtx(job string) (context.Context, *obs.Tracer, *obs.Trace) {
 // TestClusterTraceSpans proves the coordinator's span layer is purely
 // observational — traces from a run with a sampled job trace attached
 // are byte-identical to an untraced run — and that the trace carries
-// the epoch structure: reallocate spans at each epoch plus per-worker
-// shard-step windows.
+// the epoch structure: level-0 reallocate spans at each epoch plus
+// per-worker shard-step windows.
 func TestClusterTraceSpans(t *testing.T) {
 	cfg := Config{
 		BudgetW:    30,
@@ -91,8 +91,8 @@ func TestClusterTraceSpans(t *testing.T) {
 			if s.Attrs["budget_w"] != cfg.BudgetW {
 				t.Errorf("reallocate budget_w = %v, want %v", s.Attrs["budget_w"], cfg.BudgetW)
 			}
-			if s.Attrs["nodes"] != 2 {
-				t.Errorf("reallocate nodes = %v, want 2", s.Attrs["nodes"])
+			if s.Attrs["level"] != 0 || s.Attrs["entities"] != 2 {
+				t.Errorf("reallocate level/entities = %v/%v, want 0/2", s.Attrs["level"], s.Attrs["entities"])
 			}
 		case "shard-step":
 			shardSteps++
@@ -203,7 +203,6 @@ func TestTracingOffNoAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr := obs.FromContext(ctx)
 		cs := newCoordSpans(tr, 10*time.Millisecond, nil, 2)
-		cs.reallocEpoch(50, time.Time{}, 30, nil, nil, nil)
 		cs.fleetEpoch(50, 30)
 		cs.levelDur(0, time.Millisecond)
 		cs.finish(60)

@@ -5,12 +5,23 @@ import (
 	"testing"
 	"time"
 
+	"aapm/internal/alloc"
 	"aapm/internal/control"
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
+	"aapm/internal/telemetry"
 )
+
+// reallocate runs one level-0 epoch allocation over all the demands —
+// the fleet coordinator's leaf path — with al's policy settings.
+func reallocate(al *alloc.Allocator, budget, floor float64, table *pstate.Table, demands []demand, pms []*control.PerformanceMaximizer, limits []float64) {
+	newLeafAlloc(table, demands, pms, limits).allocate(al, budget, floor, 0, len(demands))
+}
+
+// leafPolicy is the coordinator's allocator configuration.
+func leafPolicy() *alloc.Allocator { return &alloc.Allocator{MarginW: budgetMarginW} }
 
 func testPMs(t *testing.T, n int, limitW float64) []*control.PerformanceMaximizer {
 	t.Helper()
@@ -40,13 +51,13 @@ func TestReallocateConsumesAverageNotTap(t *testing.T) {
 	}
 
 	steady, steadyLimits := mk()
-	reallocate(30, 4, table, steady, testPMs(t, 2, 15), steadyLimits)
+	reallocate(leafPolicy(), 30, 4, table, steady, testPMs(t, 2, 15), steadyLimits)
 
 	// Same epoch averages; node 0's tap spiked on the final tick of
 	// the epoch. The demand record is built from the averages, so the
 	// allocator's output must be bit-identical.
 	spiked, spikedLimits := mk()
-	reallocate(30, 4, table, spiked, testPMs(t, 2, 15), spikedLimits)
+	reallocate(leafPolicy(), 30, 4, table, spiked, testPMs(t, 2, 15), spikedLimits)
 	for i := range steadyLimits {
 		if steadyLimits[i] != spikedLimits[i] {
 			t.Errorf("node %d share moved on a last-tick spike: %.3f -> %.3f", i, steadyLimits[i], spikedLimits[i])
@@ -64,18 +75,18 @@ func TestReallocateConsumesAverageNotTap(t *testing.T) {
 func TestReallocateAvgPowerFloorsDesire(t *testing.T) {
 	table := pstate.PentiumM755()
 	var gotDesire float64
-	debugHook = func(node int, desire, limit float64) {
+	al := leafPolicy()
+	al.OnDecision = func(node int, desire, limit float64) {
 		if node == 0 {
 			gotDesire = desire
 		}
 	}
-	defer func() { debugHook = nil }()
 
 	pms := testPMs(t, 1, 15)
 	modelDesire := pms[0].BudgetDesireW(table, 0.1) + budgetMarginW
 	demands := []demand{{active: true, useDPC: true, dpc: 0.1, avgW: modelDesire + 5}}
 	limits := []float64{15}
-	reallocate(40, 4, table, demands, pms, limits)
+	reallocate(al, 40, 4, table, demands, pms, limits)
 	if gotDesire != modelDesire+5 {
 		t.Errorf("desire %.2f W, want the %.2f W epoch-average draw to floor it", gotDesire, modelDesire+5)
 	}
@@ -95,7 +106,7 @@ func TestReallocateHoldsStaleNode(t *testing.T) {
 		{active: false},                        // finished
 	}
 	limits := []float64{10, 12, 8}
-	reallocate(30, 4, table, demands, pms, limits)
+	reallocate(leafPolicy(), 30, 4, table, demands, pms, limits)
 
 	if limits[1] != 12 {
 		t.Errorf("held node's share moved: %.2f, want 12", limits[1])
@@ -126,7 +137,7 @@ func TestReallocateHoldRespectsFloorGuarantee(t *testing.T) {
 		{active: true, hold: true},
 	}
 	limits := []float64{4, 18}
-	reallocate(20, 4, table, demands, pms, limits)
+	reallocate(leafPolicy(), 20, 4, table, demands, pms, limits)
 	if limits[0] < 4 {
 		t.Errorf("fresh node starved below the 4 W floor: %.2f", limits[0])
 	}
@@ -153,28 +164,55 @@ func spikeProbe(iterations int) phase.Workload {
 	}
 }
 
+// shareRecorder reads node 0's PM limit — its level-0 budget gauge —
+// at every control-plane call. The call lands just before the epoch's
+// allocation, so it sees the grant of the previous epoch; grants are
+// recorded only for epochs node 0 was in service.
+type shareRecorder struct {
+	reg    *telemetry.Registry
+	active bool // node 0 was in service at the previous epoch
+	shares []float64
+}
+
+func (r *shareRecorder) Epoch(o FleetEpochObs) FleetDirectives {
+	r.record()
+	r.active = o.NodeActive[0]
+	return FleetDirectives{}
+}
+
+func (r *shareRecorder) record() {
+	if !r.active {
+		return
+	}
+	for _, f := range r.reg.Snapshot().Families {
+		if f.Name != "aapm_fleet_group_budget_watts" {
+			continue
+		}
+		for _, s := range f.Series {
+			if s.Labels[0] == "0" && s.Labels[1] == "0" {
+				r.shares = append(r.shares, s.Value)
+				return
+			}
+		}
+	}
+}
+
 // TestEpochAverageStabilizesShares is the end-to-end regression for
 // the epoch-average fix: with a probe whose instantaneous decode rate
 // alternates tick to tick and an odd epoch length (so successive
 // boundaries land on opposite phases), the desires the coordinator
 // computes at successive reallocations must stay nearly constant.
 // Under the old last-tick-tap coordinator they alternated with the
-// boundary phase by several watts.
+// boundary phase by several watts. The budget is generous, so every
+// grant is its desire and the per-epoch PM limits read them out.
 func TestEpochAverageStabilizesShares(t *testing.T) {
-	var desires []float64
-	debugHook = func(node int, desire, limit float64) {
-		if node == 0 {
-			desires = append(desires, desire)
-		}
-	}
-	defer func() { debugHook = nil }()
-
 	companion, err := spec.ByName("crafty")
 	if err != nil {
 		t.Fatal(err)
 	}
 	companion.Iterations = max(1, companion.Repeats()/4)
-	_, err = Run(Config{
+	rec := &shareRecorder{reg: telemetry.NewRegistry()}
+	_, err = RunFleet(FleetConfig{
 		// Generous budget: both nodes stay at the top p-state, so the
 		// probe's phase/tick alignment is exact and the desires isolate
 		// the DPC input rather than p-state churn.
@@ -183,10 +221,15 @@ func TestEpochAverageStabilizesShares(t *testing.T) {
 		Seed:       7,
 		EpochTicks: 5, // odd: boundaries alternate between fast and slow ticks
 		Workers:    1,
+		Levels:     1,
+		Telemetry:  rec.reg,
+		Control:    rec,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec.record() // the final epoch's grant
+	desires := rec.shares
 	if len(desires) < 6 {
 		t.Fatalf("only %d reallocations observed", len(desires))
 	}

@@ -61,23 +61,25 @@ func TestClusterTelemetry(t *testing.T) {
 		return telemetry.FamilySnapshot{}, false
 	}
 
-	nodes, ok := get("aapm_cluster_nodes")
+	nodes, ok := get("aapm_fleet_nodes")
 	if !ok || nodes.Series[0].Value != 8 {
-		t.Errorf("aapm_cluster_nodes = %+v (ok=%v), want 8", nodes, ok)
+		t.Errorf("aapm_fleet_nodes = %+v (ok=%v), want 8", nodes, ok)
 	}
-	budget, _ := get("aapm_cluster_budget_watts")
+	budget, _ := get("aapm_fleet_budget_watts")
 	if budget.Series[0].Value != 104 {
 		t.Errorf("budget gauge = %v", budget.Series[0].Value)
 	}
-	intervals, ok := get("aapm_cluster_intervals_total")
+	intervals, ok := get("aapm_fleet_intervals_total")
 	if !ok || intervals.Series[0].Value <= 0 {
 		t.Error("no lockstep intervals counted")
 	}
-	epochs, ok := get("aapm_cluster_reallocation_epochs_total")
+	epochs, ok := get("aapm_fleet_reallocation_epochs_total")
 	if !ok || epochs.Series[0].Value <= 0 {
 		t.Error("no reallocation epochs counted")
 	}
-	limits, ok := get("aapm_cluster_node_limit_watts")
+	// The per-node limit gauges are the level-0 rows of the group
+	// budget family.
+	limits, ok := get("aapm_fleet_group_budget_watts")
 	if !ok || len(limits.Series) != 8 {
 		t.Fatalf("per-node limit series = %d, want 8", len(limits.Series))
 	}
@@ -86,6 +88,9 @@ func TestClusterTelemetry(t *testing.T) {
 	// budget at end of run — finished nodes keep their final gauge
 	// value while their released share is reallocated.)
 	for _, s := range limits.Series {
+		if s.Labels[0] != "0" {
+			t.Errorf("one-level run minted a level-%s group budget", s.Labels[0])
+		}
 		if s.Value < 4 || s.Value > 104 {
 			t.Errorf("node %v limit %v, want within [floor, budget]", s.Labels, s.Value)
 		}
@@ -93,7 +98,7 @@ func TestClusterTelemetry(t *testing.T) {
 
 	// Shard wall-clock histograms: one series per worker, and their
 	// total observation count matches the merged TickWall.
-	shard, ok := get("aapm_cluster_shard_wall_seconds")
+	shard, ok := get("aapm_fleet_shard_wall_seconds")
 	if !ok || len(shard.Series) == 0 {
 		t.Fatal("no shard wall-clock series")
 	}

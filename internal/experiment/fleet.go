@@ -12,7 +12,8 @@ import (
 // FleetScaleResult is the hierarchical-coordinator scaling study: one
 // fleet-sized synthetic run through the allocation tree, preceded by
 // a determinism cross-check of the one-level hierarchy against the
-// flat coordinator on real suite workloads.
+// flat cluster entry point (serial, traces retained) on real suite
+// workloads.
 type FleetScaleResult struct {
 	Nodes          int
 	Levels         int
@@ -31,11 +32,11 @@ type FleetScaleResult struct {
 	OverFrac        float64
 
 	// FlatIdentical is true when a one-level fleet reproduced the flat
-	// coordinator's aggregates exactly on an 8-node suite population.
+	// cluster run's aggregates exactly on an 8-node suite population.
 	FlatIdentical bool
 }
 
-// FleetScale cross-checks the hierarchy against the flat coordinator,
+// FleetScale cross-checks the hierarchy against the flat cluster run,
 // then times a fleet-sized synthetic run (Options.FleetNodes /
 // FleetLevels / FleetFanout; defaults 100k nodes, 3 levels, fanout
 // 64) and reports node-ticks/sec. The big run uses the ideal
@@ -136,9 +137,9 @@ func (r *FleetScaleResult) Print(w io.Writer) error {
 	fmt.Fprintf(w, "%d intervals, %d reallocation epochs, %d node-ticks in %.2f s = %.2fM node-ticks/sec\n",
 		r.Intervals, r.Epochs, r.NodeTicks, r.WallSec, r.NodeTicksPerSec/1e6)
 	fmt.Fprintf(w, "peak total power %.0f W; budget exceeded %.2f%% of intervals\n", r.PeakTotalW, r.OverFrac*100)
-	verdict := "identical to the flat coordinator (deterministic)"
+	verdict := "identical to the flat cluster run (deterministic)"
 	if !r.FlatIdentical {
-		verdict = "DIVERGED from the flat coordinator — determinism violated"
+		verdict = "DIVERGED from the flat cluster run — determinism violated"
 	}
 	_, err := fmt.Fprintf(w, "one-level cross-check on 8 suite nodes: %s\n", verdict)
 	return err

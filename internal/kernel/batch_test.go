@@ -431,7 +431,84 @@ func TestBatchMultiNodeMatchesStaged(t *testing.T) {
 		}
 		compareRuns(t, name, want, b.Result(i))
 	}
+
+	// The coordinator's input contract: stepped in lockstep, each
+	// lane's accessors (Seq, LastPowerW, LastDPC, NodeDone) must equal
+	// what a hook tap on the matching staged session saw, after every
+	// tick. The faulted lane covers the injector branch, where LastDPC
+	// reads the corrupted sample and LastPowerW may be NaN.
+	t.Run("accessors-match-tap", func(t *testing.T) {
+		heavy := faults.Preset(0.08)
+		lanes := []struct {
+			name string
+			cfg  machine.Config
+		}{
+			{"swim", cfg}, {"mcf", cfg}, {"gzip", cfg},
+			{"art", machine.Config{Chain: sensor.NIDefault(), Seed: 78, Faults: &heavy}},
+		}
+		build := func() []BatchNode {
+			nodes := make([]BatchNode, len(lanes))
+			for i, l := range lanes {
+				m, err := machine.New(l.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nodes[i] = BatchNode{Machine: m, Workload: specWorkload(t, l.name, 1), Governor: pmGov(12, 0.25, true)(t)}
+			}
+			return nodes
+		}
+		b, err := NewBatch(build(), BatchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions := make([]*machine.Session, len(lanes))
+		taps := make([]*tickTap, len(lanes))
+		for i, n := range build() {
+			if sessions[i], err = n.Machine.NewSession(n.Workload, n.Governor); err != nil {
+				t.Fatal(err)
+			}
+			taps[i] = &tickTap{}
+			sessions[i].Subscribe(taps[i])
+		}
+		same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+		for tick := 1; ; tick++ {
+			active := false
+			for i, s := range sessions {
+				stagedStepped := !s.Done()
+				if stagedStepped {
+					if _, err := s.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := b.StepNode(i); got != stagedStepped {
+					t.Fatalf("tick %d lane %d: batch stepped=%v, staged %v", tick, i, got, stagedStepped)
+				}
+				active = active || stagedStepped
+				tap := taps[i]
+				if b.Seq(i) != tap.seq || b.NodeDone(i) != s.Done() ||
+					!same(b.LastPowerW(i), tap.last.MeasuredPowerW) ||
+					!same(b.LastDPC(i), tap.last.Observed.DPC()) {
+					t.Fatalf("tick %d lane %d (%s): batch seq=%d done=%v W=%v dpc=%v, tap seq=%d done=%v W=%v dpc=%v",
+						tick, i, lanes[i].name, b.Seq(i), b.NodeDone(i), b.LastPowerW(i), b.LastDPC(i),
+						tap.seq, s.Done(), tap.last.MeasuredPowerW, tap.last.Observed.DPC())
+				}
+			}
+			if !active {
+				break
+			}
+		}
+	})
 }
+
+// tickTap keeps the latest interval a session's bus delivered and
+// counts them — the observation a coordinator reads from a staged node.
+type tickTap struct {
+	machine.BaseHook
+	last machine.TickState
+	seq  uint64
+}
+
+func (t *tickTap) OnTick(ts machine.TickState) { t.last = ts; t.seq++ }
 
 // TestBatchTickAllocs is the allocation-budget gate: on the
 // specialized (telemetry-off, faults-off) paths a tick allocates

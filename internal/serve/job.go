@@ -47,8 +47,9 @@ type JobSpec struct {
 	// Nodes > 1, must be 0 otherwise.
 	BudgetW float64 `json:"budget_w,omitempty"`
 	// Levels selects the hierarchical fleet coordinator for cluster
-	// jobs: 0/1 is the flat coordinator, >1 an allocation tree of that
-	// depth (cluster.FleetConfig.Levels). Only valid when Nodes > 1.
+	// jobs: 0/1 is the flat cluster (a one-level fleet), >1 an
+	// allocation tree of that depth (cluster.FleetConfig.Levels). Only
+	// valid when Nodes > 1.
 	Levels int `json:"levels,omitempty"`
 	// Fanout is the allocation tree's children-per-group bound; 0
 	// selects the fleet default (64). Only valid when Levels > 1.
