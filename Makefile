@@ -29,6 +29,7 @@ fuzz-short:
 	go test ./internal/phase -fuzz FuzzParseWorkloadJSON -fuzztime $(FUZZTIME)
 	go test ./internal/kernel -fuzz FuzzBatchStep -fuzztime $(FUZZTIME)
 	go test ./internal/alloc -fuzz FuzzWaterfill -fuzztime $(FUZZTIME)
+	go test ./internal/serve -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 # Refresh the golden trace fixtures after an intentional trace change.
 # Also covers the Prometheus exposition fixture in internal/telemetry.
@@ -197,8 +198,8 @@ tick-bench:
 # Allocation gate + batch differential: the specialized bodies must
 # stay at zero heap allocations per tick and byte-identical to the
 # staged engine, the per-node accessors the coordinator reads must match
-# a hook tap on staged sessions, and cluster.Run must reproduce the
-# staged cluster engine's committed golden traces.
+# a hook tap on staged sessions, and a one-level cluster.RunFleet must
+# reproduce the staged cluster engine's committed golden traces.
 .PHONY: tick-gate
 tick-gate:
 	go test -run 'TestBatchTickAllocs|TestBatchMatchesStaged|TestBatchMultiNodeMatchesStaged' ./internal/kernel/

@@ -211,31 +211,21 @@ func MixWorkloads() []WorkloadSpec { return mixes.All() }
 // co-simulation.
 type ClusterNode = cluster.Node
 
-// ClusterConfig describes a shared-budget co-simulation: a flat set of
-// machines under one cap, optionally held at the equal split (Static),
-// with per-node telemetry and observer hooks.
-type ClusterConfig = cluster.Config
-
-// ClusterResult is a co-simulation outcome.
-type ClusterResult = cluster.Result
-
-// RunCluster co-simulates several machines under one power budget. It
-// is RunFleet with one level and traces retained; see internal/cluster
-// for the coordinator's water-filling policy.
-func RunCluster(cfg ClusterConfig) (*ClusterResult, error) { return cluster.Run(cfg) }
-
-// FleetConfig describes a hierarchical shared-budget co-simulation:
-// the shared-budget policy run at every tier of an allocation tree (root over pods over racks over nodes), sized for
-// fleets of 10⁵+ nodes in one process.
+// FleetConfig describes a shared-budget co-simulation: several
+// machines under one power cap, either flat (Levels 1, the default) or
+// under an allocation tree (root over pods over racks over nodes),
+// sized for fleets of 10⁵+ nodes in one process. EpochTicks
+// math.MaxInt holds every node at the equal split; Observe subscribes
+// per-node hooks (telemetry observers, trace-event writers).
 type FleetConfig = cluster.FleetConfig
 
-// FleetResult is a hierarchical co-simulation outcome.
+// FleetResult is a co-simulation outcome.
 type FleetResult = cluster.FleetResult
 
-// RunFleet co-simulates a node fleet under the hierarchical
-// coordinator. A one-level fleet is what RunCluster runs; deeper trees
-// re-run the same allocator over per-group aggregates at each level. See the "Hierarchical fleet coordinator" section of
-// DESIGN.md.
+// RunFleet co-simulates machines under one power budget. A flat
+// cluster is a one-level fleet; deeper trees re-run the same
+// allocator over per-group aggregates at each level. See the
+// "Hierarchical fleet coordinator" section of DESIGN.md.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) { return cluster.RunFleet(cfg) }
 
 // SyntheticFleetNodes builds n synthetic leaf nodes (three fixed
@@ -373,7 +363,7 @@ func NewTelemetryObserver(reg *TelemetryRegistry, node, governor string) Hook {
 
 // TraceEventWriter streams Chrome trace-event JSON (Perfetto,
 // chrome://tracing) as runs execute; subscribe its RunHook to a
-// session, or pass one per run via ClusterConfig.Observe.
+// session, or pass one per node via FleetConfig.Observe.
 type TraceEventWriter = telemetry.TraceEventWriter
 
 // NewTraceEventWriter builds a trace-event writer over w. Call Close

@@ -156,7 +156,7 @@ func TestFacadeCluster(t *testing.T) {
 		w.Iterations = 3
 		nodes = append(nodes, ClusterNode{Workload: w})
 	}
-	res, err := RunCluster(ClusterConfig{BudgetW: 30, Nodes: nodes, Seed: 5, Chain: NIChain()})
+	res, err := RunFleet(FleetConfig{BudgetW: 30, Nodes: nodes, Seed: 5, Chain: NIChain()})
 	if err != nil {
 		t.Fatal(err)
 	}

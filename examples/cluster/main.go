@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math"
 
 	"aapm"
 )
@@ -45,7 +46,7 @@ func main() {
 		equal.OverFrac*100, demand.OverFrac*100, equal.PeakTotalW, demand.PeakTotalW)
 }
 
-func run(names []string, static bool) (*aapm.ClusterResult, error) {
+func run(names []string, static bool) (*aapm.FleetResult, error) {
 	var nodes []aapm.ClusterNode
 	for _, n := range names {
 		w, err := aapm.Workload(n)
@@ -54,11 +55,14 @@ func run(names []string, static bool) (*aapm.ClusterResult, error) {
 		}
 		nodes = append(nodes, aapm.ClusterNode{Workload: w})
 	}
-	return aapm.RunCluster(aapm.ClusterConfig{
+	cfg := aapm.FleetConfig{
 		BudgetW: budgetW,
 		Nodes:   nodes,
 		Seed:    7,
 		Chain:   aapm.NIChain(),
-		Static:  static,
-	})
+	}
+	if static {
+		cfg.EpochTicks = math.MaxInt // never reallocate: the equal split
+	}
+	return aapm.RunFleet(cfg)
 }

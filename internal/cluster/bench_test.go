@@ -22,12 +22,13 @@ func BenchmarkClusterTick(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			ticks := 0
 			for i := 0; i < b.N; i++ {
-				res, err := Run(Config{
-					BudgetW: 104,
-					Nodes:   eightNodes(b),
-					Seed:    7,
-					Chain:   sensor.NIDefault(),
-					Workers: workers,
+				res, err := RunFleet(FleetConfig{
+					BudgetW:      104,
+					Nodes:        eightNodes(b),
+					Seed:         7,
+					Chain:        sensor.NIDefault(),
+					Workers:      workers,
+					RetainTraces: true,
 				})
 				if err != nil {
 					b.Fatal(err)

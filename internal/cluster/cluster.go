@@ -9,32 +9,25 @@
 // as per-machine PM limits: each epoch a node's share follows its
 // measured appetite, floored so no node starves, so slack left by
 // memory-bound phases flows to power-hungry neighbours within the same
-// global cap. Run is the flat entry point: a one-level fleet with
-// traces retained.
+// global cap. A flat cluster is a one-level fleet (FleetConfig.Levels
+// 1); deeper trees re-run the same allocator over group aggregates.
 //
 // Stepping is parallel: each tick the active nodes are stepped
-// concurrently across a persistent worker pool (Config.Workers), with
-// a barrier before the coordinator reads any node state. Traces are
-// identical for every worker count — each node owns its seeded RNG,
-// workers step disjoint lanes of one kernel.BatchState, and all
+// concurrently across a persistent worker pool (FleetConfig.Workers),
+// with a barrier before the coordinator reads any node state. Traces
+// are identical for every worker count — each node owns its seeded
+// RNG, workers step disjoint lanes of one kernel.BatchState, and all
 // cross-node reads happen post-barrier in node-index order (see
 // DESIGN.md, "Parallel cluster coordinator").
 package cluster
 
 import (
-	"context"
 	"math"
-	"time"
 
 	"aapm/internal/alloc"
 	"aapm/internal/control"
-	"aapm/internal/machine"
-	"aapm/internal/metrics"
 	"aapm/internal/phase"
 	"aapm/internal/pstate"
-	"aapm/internal/sensor"
-	"aapm/internal/telemetry"
-	"aapm/internal/trace"
 )
 
 // Node is one machine's assignment.
@@ -43,159 +36,6 @@ type Node struct {
 	Name     string
 	Workload phase.Workload
 }
-
-// Config describes a shared-budget co-simulation.
-type Config struct {
-	// BudgetW is the global power cap the per-node limits must sum to.
-	BudgetW float64
-	// Nodes are the participating machines.
-	Nodes []Node
-	// Seed drives each node's noise/jitter (offset per node).
-	Seed int64
-	// Chain is each node's measurement chain.
-	Chain sensor.Chain
-	// EpochTicks is the reallocation period in monitoring intervals;
-	// 0 selects 50 (500 ms at the default 10 ms period).
-	EpochTicks int
-	// FloorW is the per-node minimum allocation; 0 selects 4 W
-	// (enough for the lowest p-state under any workload).
-	FloorW float64
-	// Static disables reallocation: every node keeps BudgetW/len(Nodes)
-	// for the whole run (the naive equal split baseline).
-	Static bool
-	// Workers bounds the stepping goroutines: each tick the active
-	// sessions are stepped concurrently across min(Workers, nodes)
-	// workers. 0 selects min(GOMAXPROCS, nodes); 1 steps every node
-	// in the coordinator goroutine (the serial reference). The traces
-	// are identical for every value.
-	Workers int
-	// Telemetry, when non-nil, receives the coordinator's live
-	// metrics: one aapm_* series set per node (via telemetry.Observer
-	// on each node's Hook bus) plus the one-level fleet's aapm_fleet_*
-	// families — per-worker shard wall-clock histograms,
-	// reallocation-epoch and budget-violation counters, and the
-	// per-node limit gauges (aapm_fleet_group_budget_watts, level
-	// "0"). Purely observational — the registry never feeds back into
-	// stepping or reallocation, so traces stay byte-identical with
-	// telemetry enabled.
-	Telemetry *telemetry.Registry
-	// Observe, when non-nil, returns an extra Hook subscribed to node
-	// i's bus before the run (nil return skips that node) — e.g. a
-	// telemetry.TraceEventWriter run hook per node.
-	Observe func(i int, name string) machine.Hook
-}
-
-// Result is the co-simulation outcome.
-type Result struct {
-	// Runs holds each node's trace in Config.Nodes order.
-	Runs []*trace.Run
-	// Names mirrors Runs.
-	Names []string
-	// MachineSeconds is the sum of node completion times (lower is
-	// better for equal work).
-	MachineSeconds float64
-	// Makespan is the time until the last node finished.
-	Makespan time.Duration
-	// PeakTotalW is the highest lockstep-interval sum of measured
-	// node powers across the whole run.
-	PeakTotalW float64
-	// OverFrac is the fraction of all lockstep intervals — including
-	// the tail where some nodes have already finished — whose total
-	// measured power exceeded the budget. It is the physical
-	// shared-supply view: the supply is violated whenever the sum of
-	// whatever is still drawing exceeds the cap, so tail intervals
-	// legitimately count (and, with fewer nodes drawing, almost never
-	// violate, which dilutes the ratio on runs with long tails).
-	OverFrac float64
-	// ContendedOverFrac is the same ratio restricted to contended
-	// intervals — those where every node was still active. It is the
-	// coordinator-quality view: the only intervals where reallocation
-	// has to arbitrate the full population, undiluted by the tail.
-	// ContendedIntervals counts them.
-	ContendedOverFrac  float64
-	ContendedIntervals int
-	// Workers is the stepping-goroutine count the run used. TickWall
-	// is the per-worker shard-stepping wall-clock, merged across all
-	// workers (metrics.WallClock.Merge) so the distribution tails —
-	// the fastest and slowest shard-ticks — survive aggregation;
-	// WorkerWall keeps the unmerged per-worker aggregates. CoordWall
-	// times the coordinator's post-barrier work per tick (aggregation
-	// and reallocation). All purely observational wall-clock.
-	Workers    int
-	TickWall   metrics.WallClock
-	WorkerWall []metrics.WallClock
-	CoordWall  metrics.WallClock
-}
-
-// Run executes the co-simulation to completion.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes the co-simulation under ctx: cancellation (or a
-// deadline) is observed between lockstep ticks, abandoning the run
-// with ctx's error. A nil ctx behaves like context.Background.
-//
-// A flat cluster is a one-level fleet: the run is RunFleetContext with
-// Levels 1 and traces retained, and the result is copied over.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	epoch := cfg.EpochTicks
-	if cfg.Static {
-		// No tick is a positive multiple of MaxInt, so the fleet never
-		// reallocates and every node keeps BudgetW/n.
-		epoch = math.MaxInt
-	}
-	observe := cfg.Observe
-	if reg := cfg.Telemetry; reg != nil {
-		observe = func(i int, name string) machine.Hook {
-			var h machine.Hook = telemetry.NewObserver(reg, name, "pm")
-			if cfg.Observe != nil {
-				if o := cfg.Observe(i, name); o != nil {
-					h = hookPair{h, o}
-				}
-			}
-			return h
-		}
-	}
-	fr, err := RunFleetContext(ctx, FleetConfig{
-		BudgetW:      cfg.BudgetW,
-		Nodes:        cfg.Nodes,
-		Seed:         cfg.Seed,
-		Chain:        cfg.Chain,
-		EpochTicks:   epoch,
-		FloorW:       cfg.FloorW,
-		Workers:      cfg.Workers,
-		Levels:       1,
-		RetainTraces: true,
-		Telemetry:    cfg.Telemetry,
-		Observe:      observe,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Runs:               fr.Runs,
-		Names:              fr.Names,
-		MachineSeconds:     fr.MachineSeconds,
-		Makespan:           fr.Makespan,
-		PeakTotalW:         fr.PeakTotalW,
-		OverFrac:           fr.OverFrac,
-		ContendedOverFrac:  fr.ContendedOverFrac,
-		ContendedIntervals: fr.ContendedIntervals,
-		Workers:            fr.Workers,
-		TickWall:           fr.TickWall,
-		WorkerWall:         fr.WorkerWall,
-		CoordWall:          fr.CoordWall,
-	}, nil
-}
-
-// hookPair fans one node's bus events out to two hooks, in order.
-type hookPair [2]machine.Hook
-
-func (p hookPair) OnTick(ts machine.TickState)        { p[0].OnTick(ts); p[1].OnTick(ts) }
-func (p hookPair) OnTransition(tr machine.Transition) { p[0].OnTransition(tr); p[1].OnTransition(tr) }
-func (p hookPair) OnDegradation(d trace.Degradation)  { p[0].OnDegradation(d); p[1].OnDegradation(d) }
-func (p hookPair) OnDone(r *trace.Run)                { p[0].OnDone(r); p[1].OnDone(r) }
 
 // usable reports whether a node observation is fit for accumulation
 // (faulted sensors and counters can hand the coordinator NaN/Inf).

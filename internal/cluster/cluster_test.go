@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"aapm/internal/sensor"
@@ -23,25 +24,26 @@ func nodes(t *testing.T, names ...string) []Node {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{BudgetW: 50}); err == nil {
+	if _, err := RunFleet(FleetConfig{BudgetW: 50, RetainTraces: true}); err == nil {
 		t.Error("no nodes accepted")
 	}
-	if _, err := Run(Config{Nodes: nodes(t, "gzip")}); err == nil {
+	if _, err := RunFleet(FleetConfig{Nodes: nodes(t, "gzip"), RetainTraces: true}); err == nil {
 		t.Error("zero budget accepted")
 	}
-	if _, err := Run(Config{Nodes: nodes(t, "gzip", "gcc"), BudgetW: 5}); err == nil {
+	if _, err := RunFleet(FleetConfig{Nodes: nodes(t, "gzip", "gcc"), BudgetW: 5, RetainTraces: true}); err == nil {
 		t.Error("budget below floors accepted")
 	}
 }
 
 func TestSharedBudgetRespected(t *testing.T) {
-	cfg := Config{
-		BudgetW: 56,
-		Nodes:   nodes(t, "swim", "mcf", "lucas", "crafty"),
-		Seed:    7,
-		Chain:   sensor.NIDefault(),
+	cfg := FleetConfig{
+		BudgetW:      56,
+		Nodes:        nodes(t, "swim", "mcf", "lucas", "crafty"),
+		Seed:         7,
+		Chain:        sensor.NIDefault(),
+		RetainTraces: true,
 	}
-	res, err := Run(cfg)
+	res, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,21 +66,22 @@ func TestSharedBudgetRespected(t *testing.T) {
 }
 
 func TestDemandAwareBeatsEqualSplit(t *testing.T) {
-	base := Config{
-		BudgetW: 56,
-		Nodes:   nodes(t, "swim", "mcf", "lucas", "crafty"),
-		Seed:    7,
-		Chain:   sensor.NIDefault(),
+	base := FleetConfig{
+		BudgetW:      56,
+		Nodes:        nodes(t, "swim", "mcf", "lucas", "crafty"),
+		Seed:         7,
+		Chain:        sensor.NIDefault(),
+		RetainTraces: true,
 	}
 	static := base
-	static.Static = true
+	static.EpochTicks = math.MaxInt // never reallocate: the equal split
 	static.Nodes = nodes(t, "swim", "mcf", "lucas", "crafty")
 
-	dyn, err := Run(base)
+	dyn, err := RunFleet(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := Run(static)
+	st, err := RunFleet(static)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +102,7 @@ func TestNodesFinishIndependently(t *testing.T) {
 	// finisher's share to the survivor and run to completion.
 	ws := nodes(t, "gzip", "crafty")
 	ws[0].Workload.Iterations = 1
-	res, err := Run(Config{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault()})
+	res, err := RunFleet(FleetConfig{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}

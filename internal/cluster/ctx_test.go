@@ -9,10 +9,11 @@ import (
 func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, Config{
-		BudgetW: 30,
-		Nodes:   nodes(t, "gzip", "gcc"),
-		Seed:    7,
+	_, err := RunFleetContext(ctx, FleetConfig{
+		BudgetW:      30,
+		Nodes:        nodes(t, "gzip", "gcc"),
+		Seed:         7,
+		RetainTraces: true,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -20,17 +21,18 @@ func TestRunContextCanceled(t *testing.T) {
 }
 
 func TestRunNilContextMatchesBackground(t *testing.T) {
-	cfg := Config{BudgetW: 30, Nodes: nodes(t, "gzip", "gcc"), Seed: 7}
-	a, err := Run(cfg)
+	cfg := FleetConfig{BudgetW: 30, Nodes: nodes(t, "gzip", "gcc"), Seed: 7, RetainTraces: true}
+	a, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunContext(context.Background(), Config{BudgetW: 30, Nodes: nodes(t, "gzip", "gcc"), Seed: 7})
+	var nilCtx context.Context
+	b, err := RunFleetContext(nilCtx, FleetConfig{BudgetW: 30, Nodes: nodes(t, "gzip", "gcc"), Seed: 7, RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Makespan != b.Makespan || a.MachineSeconds != b.MachineSeconds {
-		t.Errorf("Run and RunContext diverged: %v/%v vs %v/%v",
+		t.Errorf("RunFleet and RunFleetContext(nil) diverged: %v/%v vs %v/%v",
 			a.Makespan, a.MachineSeconds, b.Makespan, b.MachineSeconds)
 	}
 }

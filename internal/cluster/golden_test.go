@@ -31,7 +31,7 @@ type stagedAggregates struct {
 }
 
 // TestEngineMatchesStaged is the flat coordinator's differential
-// gate: Run, a one-level fleet stepping one kernel.BatchState, must
+// gate: a one-level fleet stepping one kernel.BatchState must
 // reproduce the staged reference's traces byte for byte and its
 // aggregates and degradation logs exactly, serially and across the
 // worker pool. The default case leaves EpochTicks and FloorW zero;
@@ -61,17 +61,18 @@ func TestEngineMatchesStaged(t *testing.T) {
 		{"batch-pool", false, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				BudgetW: 104,
-				Nodes:   eightNodes(t),
-				Seed:    11,
-				Chain:   sensor.NIDefault(),
-				Workers: tc.workers,
+			cfg := FleetConfig{
+				BudgetW:      104,
+				Nodes:        eightNodes(t),
+				Seed:         11,
+				Chain:        sensor.NIDefault(),
+				Workers:      tc.workers,
+				RetainTraces: true,
 			}
 			if !tc.defaults {
 				cfg.EpochTicks, cfg.FloorW = 50, 4
 			}
-			got, err := Run(cfg)
+			got, err := RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,8 +9,8 @@
 // per-node storage.
 //
 // Determinism anchor: with Levels == 1 the hierarchy degenerates to a
-// single Allocate over all leaves — the flat cluster Run executes,
-// whose traces are pinned byte for byte against the staged-session
+// single Allocate over all leaves — the flat cluster, whose traces
+// are pinned byte for byte against the staged-session
 // reference by a committed golden fixture. At any depth every
 // cross-node read happens post-barrier in index order on the
 // coordinator goroutine and the top-down recursion visits groups in
@@ -43,29 +43,39 @@ import (
 	"aapm/internal/trace"
 )
 
-// FleetConfig describes a hierarchical shared-budget co-simulation.
+// FleetConfig describes a shared-budget co-simulation: a flat cluster
+// (Levels 1) or a hierarchical fleet.
 type FleetConfig struct {
-	// BudgetW is the global power cap held by the root.
+	// BudgetW is the global power cap held by the root; the per-node
+	// limits sum to it.
 	BudgetW float64
 	// Nodes are the leaf machines (see SyntheticFleet for bulk
 	// construction).
 	Nodes []Node
-	// Seed drives each node's noise/jitter (offset per node, same
-	// scheme as Config.Seed).
+	// Seed drives each node's noise/jitter; node i runs at Seed +
+	// i*7919.
 	Seed int64
 	// Chain is each node's measurement chain.
 	Chain sensor.Chain
-	// EpochTicks is the reallocation period; 0 selects 50.
+	// EpochTicks is the reallocation period in monitoring intervals;
+	// 0 selects 50 (500 ms at the default 10 ms period). math.MaxInt
+	// never reallocates: every node keeps BudgetW/len(Nodes) for the
+	// whole run (the naive equal-split baseline).
 	EpochTicks int
-	// FloorW is the per-node minimum allocation; 0 selects 4 W.
+	// FloorW is the per-node minimum allocation; 0 selects 4 W
+	// (enough for the lowest p-state under any workload).
 	FloorW float64
-	// Workers bounds the stepping goroutines, as Config.Workers.
+	// Workers bounds the stepping goroutines: each tick the active
+	// nodes are stepped concurrently across min(Workers, nodes)
+	// workers. 0 selects min(GOMAXPROCS, nodes); 1 steps every node
+	// in the coordinator goroutine (the serial reference). The traces
+	// are identical for every value.
 	Workers int
 	// Levels is the allocation-tree depth above the leaves: 1 (the
 	// default) is the root allocating straight over nodes — the flat
-	// cluster Run executes; 2 inserts one tier of groups; and so on.
-	// Each extra level re-runs the same allocator over the level
-	// below's aggregates.
+	// cluster; 2 inserts one tier of groups; and so on. Each extra
+	// level re-runs the same allocator over the level below's
+	// aggregates.
 	Levels int
 	// Fanout is the maximum children per group (consecutive node
 	// indices); 0 selects 64. Must be >= 2 when Levels > 1.
@@ -81,26 +91,31 @@ type FleetConfig struct {
 	// apply to that epoch's allocation. See FleetControl.
 	Control FleetControl
 	// Faults, when non-nil, supplies node i's fault-injection plan
-	// (nil result = no faults for that node), the PR-1 machinery the
-	// control plane's hard escalation is exercised against.
+	// (nil result = no faults for that node); the control plane's hard
+	// escalation is exercised against it.
 	Faults func(i int) *faults.Plan
 	// RetainTraces keeps every node's per-interval rows. Off by
 	// default: at fleet scale the rows dwarf the simulation state.
 	RetainTraces bool
 	// Telemetry, when non-nil, receives the fleet-level series:
-	// per-level group budgets (level 0 being the per-node PM limits)
-	// and over-budget counters, per-level allocation wall, and the
-	// cluster-wide aggregates. Purely observational.
+	// per-level group budgets (level 0 being the per-node PM limits,
+	// capped at maxGroupSeries rows per level) and over-budget
+	// counters, per-worker shard wall-clock histograms, per-level
+	// allocation wall, and the cluster-wide aggregates. Purely
+	// observational — the registry never feeds back into stepping or
+	// reallocation, so traces stay byte-identical with telemetry
+	// enabled. Per-node aapm_* run series come only from an Observe
+	// hook (e.g. a telemetry.Observer per node).
 	Telemetry *telemetry.Registry
 	// Observe, when non-nil, returns an extra Hook subscribed to node
-	// i's bus before the run (nil return skips that node), as
-	// Config.Observe. Any hook moves the whole batch off the kernel's
-	// hook-free step bodies onto the generic one.
+	// i's bus before the run (nil return skips that node) — e.g. a
+	// telemetry.Observer or a telemetry.TraceEventWriter run hook per
+	// node. Any hook moves the whole batch off the kernel's hook-free
+	// step bodies onto the generic one.
 	Observe func(i int, name string) machine.Hook
 }
 
-// FleetResult is the hierarchical co-simulation outcome. The flat
-// aggregate fields mean exactly what they do on Result.
+// FleetResult is the co-simulation outcome.
 type FleetResult struct {
 	Nodes  int
 	Levels int
@@ -108,15 +123,33 @@ type FleetResult struct {
 	// GroupsPerLevel[l] is the group count at interior level l+1
 	// (empty when Levels == 1).
 	GroupsPerLevel []int
-	// Runs/Names as Result; with RetainTraces off each Run carries
-	// aggregates (duration, energy, transitions) but no rows.
+	// Runs holds each node's run in FleetConfig.Nodes order; Names
+	// mirrors it. With RetainTraces off each Run carries aggregates
+	// (duration, energy, transitions) but no rows.
 	Runs  []*trace.Run
 	Names []string
 
-	MachineSeconds     float64
-	Makespan           time.Duration
-	PeakTotalW         float64
-	OverFrac           float64
+	// MachineSeconds is the sum of node completion times (lower is
+	// better for equal work).
+	MachineSeconds float64
+	// Makespan is the time until the last node finished.
+	Makespan time.Duration
+	// PeakTotalW is the highest lockstep-interval sum of measured
+	// node powers across the whole run.
+	PeakTotalW float64
+	// OverFrac is the fraction of all lockstep intervals — including
+	// the tail where some nodes have already finished — whose total
+	// measured power exceeded the budget. It is the physical
+	// shared-supply view: the supply is violated whenever the sum of
+	// whatever is still drawing exceeds the cap, so tail intervals
+	// legitimately count (and, with fewer nodes drawing, almost never
+	// violate, which dilutes the ratio on runs with long tails).
+	OverFrac float64
+	// ContendedOverFrac is the same ratio restricted to contended
+	// intervals — those where every node was still active. It is the
+	// coordinator-quality view: the only intervals where reallocation
+	// has to arbitrate the full population, undiluted by the tail.
+	// ContendedIntervals counts them.
 	ContendedOverFrac  float64
 	ContendedIntervals int
 	// Intervals counts lockstep intervals; Epochs counts completed
@@ -126,6 +159,13 @@ type FleetResult struct {
 	Epochs    int
 	NodeTicks int64
 
+	// Workers is the stepping-goroutine count the run used. TickWall
+	// is the per-worker shard-stepping wall-clock, merged across all
+	// workers (metrics.WallClock.Merge) so the distribution tails —
+	// the fastest and slowest shard-ticks — survive aggregation;
+	// WorkerWall keeps the unmerged per-worker aggregates. CoordWall
+	// times the coordinator's post-barrier work per tick (aggregation
+	// and reallocation). All purely observational wall-clock.
 	Workers    int
 	TickWall   metrics.WallClock
 	WorkerWall []metrics.WallClock
@@ -151,8 +191,14 @@ func fleetShapeOf(n, levels, fanout int) fleetShape {
 	s.counts[0] = n
 	s.spanSize[0] = 1
 	for l := 1; l < levels; l++ {
-		s.counts[l] = (s.counts[l-1] + fanout - 1) / fanout
-		s.spanSize[l] = min(s.spanSize[l-1]*fanout, n)
+		// Overflow-safe forms of ceil(counts/fanout) and
+		// min(span*fanout, n): a fanout near MaxInt must not wrap.
+		s.counts[l] = (s.counts[l-1]-1)/fanout + 1
+		if s.spanSize[l-1] > n/fanout {
+			s.spanSize[l] = n
+		} else {
+			s.spanSize[l] = s.spanSize[l-1] * fanout
+		}
 	}
 	return s
 }
@@ -184,13 +230,14 @@ func (g *groupAgg) RecentPowerW() float64       { return 0 }
 func (g *groupAgg) RecentDPC() float64          { return 0 }
 func (g *groupAgg) MinW(floorW float64) float64 { return g.minW }
 
-// RunFleet executes the hierarchical co-simulation to completion.
+// RunFleet executes the co-simulation to completion.
 func RunFleet(cfg FleetConfig) (*FleetResult, error) {
 	return RunFleetContext(context.Background(), cfg)
 }
 
-// RunFleetContext executes the hierarchical co-simulation under ctx,
-// observing cancellation between lockstep ticks.
+// RunFleetContext executes the co-simulation under ctx: cancellation
+// (or a deadline) is observed between lockstep ticks, abandoning the
+// run with ctx's error. A nil ctx behaves like context.Background.
 func RunFleetContext(ctx context.Context, cfg FleetConfig) (*FleetResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -3,28 +3,15 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"aapm/internal/sensor"
 	"aapm/internal/telemetry"
 )
-
-// fleetCSV serializes every node trace of a fleet result, in node
-// order, in the same format tracesCSV uses for flat results so the
-// two are directly comparable.
-func fleetCSV(t testing.TB, res *FleetResult) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	for i, run := range res.Runs {
-		fmt.Fprintf(&buf, "# node %d %s\n", i, res.Names[i])
-		if err := run.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
 
 // diffLines fails the test at the first diverging line of two trace
 // serializations.
@@ -42,39 +29,48 @@ func diffLines(t *testing.T, what string, a, b []byte) {
 	t.Fatalf("%s: traces differ in length: %d vs %d lines", what, len(al), len(bl))
 }
 
-// TestFleetOneLevelMatchesFlat is the hierarchy's determinism anchor:
-// a one-level fleet — the root allocating straight over the leaves —
-// must reproduce the flat coordinator byte for byte: traces, energy
-// integrals, degradation logs and budget accounting, at any worker
-// count.
+// TestFleetOneLevelMatchesFlat is the hierarchy's determinism anchor.
+// The reference is the flat cluster: a serial, trace-retaining
+// one-level fleet (the root allocating straight over the leaves). A
+// pooled trace-retaining run must reproduce it byte for byte: traces,
+// energy integrals, degradation logs and budget accounting. A pooled
+// run with traces off — the lean configuration fleet callers use —
+// must reproduce every aggregate and per-node summary. The reference's
+// NodeTicks must equal its retained row count, so a caller may read
+// tick counts from NodeTicks without retaining rows.
 func TestFleetOneLevelMatchesFlat(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			flat, err := Run(Config{
-				BudgetW: 104,
-				Nodes:   eightNodes(t),
-				Seed:    seed,
-				Chain:   sensor.NIDefault(),
-				Workers: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
+			run := func(workers int, retain bool) *FleetResult {
+				t.Helper()
+				res, err := RunFleet(FleetConfig{
+					BudgetW:      104,
+					Nodes:        eightNodes(t),
+					Seed:         seed,
+					Chain:        sensor.NIDefault(),
+					Workers:      workers,
+					Levels:       1,
+					RetainTraces: retain,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			fleet, err := RunFleet(FleetConfig{
-				BudgetW:      104,
-				Nodes:        eightNodes(t),
-				Seed:         seed,
-				Chain:        sensor.NIDefault(),
-				Workers:      8,
-				Levels:       1,
-				RetainTraces: true,
-			})
-			if err != nil {
-				t.Fatal(err)
+			flat := run(1, true)
+			fleet := run(8, true)
+			lean := run(0, false)
+
+			var rows int64
+			for _, r := range flat.Runs {
+				rows += int64(len(r.Rows))
 			}
-			diffLines(t, "flat vs one-level fleet", tracesCSV(t, flat), fleetCSV(t, fleet))
+			if flat.NodeTicks != rows {
+				t.Errorf("reference NodeTicks %d != %d retained rows", flat.NodeTicks, rows)
+			}
+			diffLines(t, "flat vs one-level fleet", tracesCSV(t, flat), tracesCSV(t, fleet))
 			for i := range flat.Runs {
 				fr, hr := flat.Runs[i], fleet.Runs[i]
 				if fr.EnergyJ != hr.EnergyJ || fr.MeasuredEnergyJ != hr.MeasuredEnergyJ {
@@ -85,17 +81,30 @@ func TestFleetOneLevelMatchesFlat(t *testing.T) {
 					t.Errorf("node %d degradation logs diverge: %d vs %d entries",
 						i, len(fr.Degradations), len(hr.Degradations))
 				}
+				lr := lean.Runs[i]
+				if fr.Duration != lr.Duration || fr.EnergyJ != lr.EnergyJ || fr.MeasuredEnergyJ != lr.MeasuredEnergyJ ||
+					fr.Transitions != lr.Transitions || fr.DegradationTotal() != lr.DegradationTotal() {
+					t.Errorf("node %d summary diverges without traces: flat %v/%v/%v/%d/%d, lean %v/%v/%v/%d/%d", i,
+						fr.Duration, fr.EnergyJ, fr.MeasuredEnergyJ, fr.Transitions, fr.DegradationTotal(),
+						lr.Duration, lr.EnergyJ, lr.MeasuredEnergyJ, lr.Transitions, lr.DegradationTotal())
+				}
 			}
-			if flat.MachineSeconds != fleet.MachineSeconds || flat.Makespan != fleet.Makespan {
-				t.Errorf("aggregates diverge: flat %v/%v, fleet %v/%v",
-					flat.MachineSeconds, flat.Makespan, fleet.MachineSeconds, fleet.Makespan)
-			}
-			if flat.PeakTotalW != fleet.PeakTotalW || flat.OverFrac != fleet.OverFrac ||
-				flat.ContendedOverFrac != fleet.ContendedOverFrac ||
-				flat.ContendedIntervals != fleet.ContendedIntervals {
-				t.Errorf("budget accounting diverges: flat peak=%v over=%v cover=%v cint=%d, fleet peak=%v over=%v cover=%v cint=%d",
-					flat.PeakTotalW, flat.OverFrac, flat.ContendedOverFrac, flat.ContendedIntervals,
-					fleet.PeakTotalW, fleet.OverFrac, fleet.ContendedOverFrac, fleet.ContendedIntervals)
+			for _, other := range []struct {
+				name string
+				res  *FleetResult
+			}{{"pooled", fleet}, {"pooled without traces", lean}} {
+				o := other.res
+				if flat.MachineSeconds != o.MachineSeconds || flat.Makespan != o.Makespan {
+					t.Errorf("%s aggregates diverge: flat %v/%v, fleet %v/%v", other.name,
+						flat.MachineSeconds, flat.Makespan, o.MachineSeconds, o.Makespan)
+				}
+				if flat.PeakTotalW != o.PeakTotalW || flat.OverFrac != o.OverFrac ||
+					flat.ContendedOverFrac != o.ContendedOverFrac ||
+					flat.ContendedIntervals != o.ContendedIntervals {
+					t.Errorf("%s budget accounting diverges: flat peak=%v over=%v cover=%v cint=%d, fleet peak=%v over=%v cover=%v cint=%d",
+						other.name, flat.PeakTotalW, flat.OverFrac, flat.ContendedOverFrac, flat.ContendedIntervals,
+						o.PeakTotalW, o.OverFrac, o.ContendedOverFrac, o.ContendedIntervals)
+				}
 			}
 		})
 	}
@@ -123,7 +132,7 @@ func TestFleetMultiLevelDeterministic(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return res, fleetCSV(t, res)
+				return res, tracesCSV(t, res)
 			}
 			ref, refCSV := run(1)
 			if ref.Levels != levels || ref.Epochs == 0 || ref.Intervals == 0 {
@@ -165,6 +174,15 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if _, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 17}); err == nil {
 		t.Error("17 levels accepted")
+	}
+	// A fanout past the node count is one group per level; near
+	// MaxInt it must not wrap the shape arithmetic.
+	res, err := RunFleet(FleetConfig{BudgetW: 100, Nodes: nodes, Levels: 3, Fanout: math.MaxInt})
+	if err != nil {
+		t.Fatalf("huge fanout rejected: %v", err)
+	}
+	if want := []int{1, 1}; !slices.Equal(res.GroupsPerLevel, want) {
+		t.Errorf("huge fanout groups per level = %v, want %v", res.GroupsPerLevel, want)
 	}
 }
 
@@ -301,7 +319,7 @@ func TestFleetHeterogeneousFloors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, rec, fleetCSV(t, res)
+		return res, rec, tracesCSV(t, res)
 	}
 	floors := []GroupSpec{{MinW: 80}, {}, {}, {}}
 	ref, rec, refCSV := run(1, floors)

@@ -52,22 +52,23 @@ func sampledCtx(job string) (context.Context, *obs.Tracer, *obs.Trace) {
 // the epoch structure: level-0 reallocate spans at each epoch plus
 // per-worker shard-step windows.
 func TestClusterTraceSpans(t *testing.T) {
-	cfg := Config{
-		BudgetW:    30,
-		Nodes:      shortNodes(t, "gzip", "crafty"),
-		Seed:       3,
-		Chain:      sensor.NIDefault(),
-		EpochTicks: 5,
-		Workers:    2,
+	cfg := FleetConfig{
+		BudgetW:      30,
+		Nodes:        shortNodes(t, "gzip", "crafty"),
+		Seed:         3,
+		Chain:        sensor.NIDefault(),
+		EpochTicks:   5,
+		Workers:      2,
+		RetainTraces: true,
 	}
-	plain, err := Run(cfg)
+	plain, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, tracer, tr := sampledCtx("jobA")
 	cfg.Nodes = shortNodes(t, "gzip", "crafty")
-	traced, err := RunContext(ctx, cfg)
+	traced, err := RunFleetContext(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +225,15 @@ func TestTracingOffOverhead(t *testing.T) {
 		attempts = 4
 		budget   = 1.05
 	)
-	mk := func() Config {
-		return Config{
-			BudgetW:    30,
-			Nodes:      shortNodes(t, "gzip", "crafty"),
-			Seed:       3,
-			Chain:      sensor.NIDefault(),
-			EpochTicks: 5,
-			Workers:    1,
+	mk := func() FleetConfig {
+		return FleetConfig{
+			BudgetW:      30,
+			Nodes:        shortNodes(t, "gzip", "crafty"),
+			Seed:         3,
+			Chain:        sensor.NIDefault(),
+			EpochTicks:   5,
+			Workers:      1,
+			RetainTraces: true,
 		}
 	}
 	cost := func(ctx context.Context) time.Duration {
@@ -239,7 +241,7 @@ func TestTracingOffOverhead(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			cfg := mk()
 			t0 := time.Now()
-			res, err := RunContext(ctx, cfg)
+			res, err := RunFleetContext(ctx, cfg)
 			elapsed := time.Since(t0)
 			if err != nil {
 				t.Fatal(err)

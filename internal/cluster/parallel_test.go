@@ -26,8 +26,9 @@ func eightNodes(t testing.TB) []Node {
 	return out
 }
 
-// tracesCSV serializes every node trace of a result, in node order.
-func tracesCSV(t testing.TB, res *Result) []byte {
+// tracesCSV serializes every node trace of a fleet result, in node
+// order.
+func tracesCSV(t testing.TB, res *FleetResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for i, run := range res.Runs {
@@ -48,20 +49,21 @@ func TestParallelMatchesSerial(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
-			cfg := Config{
-				BudgetW: 104,
-				Nodes:   eightNodes(t),
-				Seed:    seed,
-				Chain:   sensor.NIDefault(),
-				Workers: 1,
+			cfg := FleetConfig{
+				BudgetW:      104,
+				Nodes:        eightNodes(t),
+				Seed:         seed,
+				Chain:        sensor.NIDefault(),
+				Workers:      1,
+				RetainTraces: true,
 			}
-			serial, err := Run(cfg)
+			serial, err := RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			cfg.Nodes = eightNodes(t)
 			cfg.Workers = 8
-			par, err := Run(cfg)
+			par, err := RunFleet(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,11 +97,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelEightNodeRace drives the default worker count over an
 // 8-node run; under -race (CI) it proves the stepping path clean.
 func TestParallelEightNodeRace(t *testing.T) {
-	res, err := Run(Config{
-		BudgetW: 104,
-		Nodes:   eightNodes(t),
-		Seed:    5,
-		Chain:   sensor.NIDefault(),
+	res, err := RunFleet(FleetConfig{
+		BudgetW:      104,
+		Nodes:        eightNodes(t),
+		Seed:         5,
+		Chain:        sensor.NIDefault(),
+		RetainTraces: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,14 +127,14 @@ func TestWorkerCountClamps(t *testing.T) {
 	ws := nodes(t, "gzip", "crafty")
 	ws[0].Workload.Iterations = 1
 	ws[1].Workload.Iterations = 1
-	res, err := Run(Config{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), Workers: 64})
+	res, err := RunFleet(FleetConfig{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), Workers: 64, RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Workers != 2 {
 		t.Errorf("64 workers over 2 nodes ran with %d workers, want 2", res.Workers)
 	}
-	res, err = Run(Config{BudgetW: 30, Nodes: nodes(t, "gzip", "crafty"), Seed: 3, Chain: sensor.NIDefault()})
+	res, err = RunFleet(FleetConfig{BudgetW: 30, Nodes: nodes(t, "gzip", "crafty"), Seed: 3, Chain: sensor.NIDefault(), RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ type stepper struct {
 	// wall[k] aggregates worker k's per-tick shard wall-clock (ticks
 	// where the shard had at least one active node). Each entry is
 	// written only by its owning worker; the coordinator merges them
-	// into Result.TickWall after the run.
+	// into FleetResult.TickWall after the run.
 	wall []metrics.WallClock
 	// shardWall[k], when telemetry is enabled, receives the same
 	// samples as a labeled histogram series.

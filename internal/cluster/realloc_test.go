@@ -253,7 +253,7 @@ func TestEpochAverageStabilizesShares(t *testing.T) {
 func TestTailPhaseAccounting(t *testing.T) {
 	ws := nodes(t, "gzip", "crafty")
 	ws[0].Workload.Iterations = 1
-	res, err := Run(Config{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), Workers: 1})
+	res, err := RunFleet(FleetConfig{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), Workers: 1, RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestTickWallCollected(t *testing.T) {
 	ws := nodes(t, "gzip", "gcc")
 	ws[0].Workload.Iterations = 1
 	ws[1].Workload.Iterations = 1
-	res, err := Run(Config{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault()})
+	res, err := RunFleet(FleetConfig{BudgetW: 30, Nodes: ws, Seed: 3, Chain: sensor.NIDefault(), RetainTraces: true})
 	if err != nil {
 		t.Fatal(err)
 	}

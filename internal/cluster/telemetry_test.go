@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"aapm/internal/machine"
 	"aapm/internal/sensor"
 	"aapm/internal/telemetry"
 )
@@ -37,13 +38,17 @@ func TestClusterTelemetry(t *testing.T) {
 		}()
 	}
 
-	res, err := Run(Config{
-		BudgetW:   104,
-		Nodes:     eightNodes(t),
-		Seed:      7,
-		Chain:     sensor.NIDefault(),
-		Workers:   4,
-		Telemetry: reg,
+	res, err := RunFleet(FleetConfig{
+		BudgetW:      104,
+		Nodes:        eightNodes(t),
+		Seed:         7,
+		Chain:        sensor.NIDefault(),
+		Workers:      4,
+		Telemetry:    reg,
+		RetainTraces: true,
+		Observe: func(i int, name string) machine.Hook {
+			return telemetry.NewObserver(reg, name, "pm")
+		},
 	})
 	stop.Store(true)
 	wg.Wait()
@@ -137,23 +142,28 @@ func TestClusterTelemetry(t *testing.T) {
 }
 
 // TestClusterTelemetryPreservesTraces pins the observational contract:
-// the same run with and without a registry produces byte-identical
-// node traces.
+// the same run with and without a registry (fleet series plus a
+// per-node observer) produces byte-identical node traces.
 func TestClusterTelemetryPreservesTraces(t *testing.T) {
-	cfg := Config{
-		BudgetW: 104,
-		Nodes:   eightNodes(t),
-		Seed:    7,
-		Chain:   sensor.NIDefault(),
-		Workers: 4,
+	cfg := FleetConfig{
+		BudgetW:      104,
+		Nodes:        eightNodes(t),
+		Seed:         7,
+		Chain:        sensor.NIDefault(),
+		Workers:      4,
+		RetainTraces: true,
 	}
-	plain, err := Run(cfg)
+	plain, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Nodes = eightNodes(t)
-	cfg.Telemetry = telemetry.NewRegistry()
-	observed, err := Run(cfg)
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
+	cfg.Observe = func(i int, name string) machine.Hook {
+		return telemetry.NewObserver(reg, name, "pm")
+	}
+	observed, err := RunFleet(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

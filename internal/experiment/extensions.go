@@ -10,6 +10,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"aapm/internal/cluster"
@@ -453,7 +454,7 @@ type SharedBudgetRow struct {
 // same sharding, one level up.
 func (c *Context) SharedBudget() (*SharedBudgetResult, error) {
 	const budget = 56.0
-	mk := func(static bool) (*cluster.Result, error) {
+	mk := func(static bool) (*cluster.FleetResult, error) {
 		var ns []cluster.Node
 		for _, name := range []string{"swim", "mcf", "lucas", "crafty"} {
 			w, err := c.Workload(name)
@@ -462,16 +463,19 @@ func (c *Context) SharedBudget() (*SharedBudgetResult, error) {
 			}
 			ns = append(ns, cluster.Node{Workload: w})
 		}
-		return cluster.Run(cluster.Config{
+		cfg := cluster.FleetConfig{
 			BudgetW: budget,
 			Nodes:   ns,
 			Seed:    c.opts.Seed,
 			Chain:   c.chain,
-			Static:  static,
 			Workers: c.opts.Parallelism,
-		})
+		}
+		if static {
+			cfg.EpochTicks = math.MaxInt // never reallocate: the equal split
+		}
+		return cluster.RunFleetContext(c.opts.Ctx, cfg)
 	}
-	results := make([]*cluster.Result, 2)
+	results := make([]*cluster.FleetResult, 2)
 	if err := c.forEachN(2, func(i int) error {
 		r, err := mk(i == 1)
 		results[i] = r
@@ -530,7 +534,7 @@ type ClusterScaleResult struct {
 }
 
 // ClusterScaleRow is one worker count's stepping cost: the merged
-// per-worker shard wall-clock (Result.TickWall), tails included.
+// per-worker shard wall-clock (FleetResult.TickWall), tails included.
 type ClusterScaleRow struct {
 	Workers     int
 	Steps       int
@@ -548,7 +552,7 @@ type ClusterScaleRow struct {
 func (c *Context) ClusterScale() (*ClusterScaleResult, error) {
 	const budget = 104.0
 	names := []string{"swim", "mcf", "lucas", "crafty", "gzip", "gcc", "art", "ammp"}
-	mk := func(workers int) (*cluster.Result, error) {
+	mk := func(workers int) (*cluster.FleetResult, error) {
 		var ns []cluster.Node
 		for _, name := range names {
 			w, err := c.Workload(name)
@@ -557,7 +561,7 @@ func (c *Context) ClusterScale() (*ClusterScaleResult, error) {
 			}
 			ns = append(ns, cluster.Node{Workload: w})
 		}
-		return cluster.Run(cluster.Config{
+		return cluster.RunFleetContext(c.opts.Ctx, cluster.FleetConfig{
 			BudgetW: budget,
 			Nodes:   ns,
 			Seed:    c.opts.Seed,
@@ -566,7 +570,7 @@ func (c *Context) ClusterScale() (*ClusterScaleResult, error) {
 		})
 	}
 	counts := []int{1, 2, 4, 8}
-	results := make([]*cluster.Result, len(counts))
+	results := make([]*cluster.FleetResult, len(counts))
 	if err := c.forEachN(len(counts), func(i int) error {
 		r, err := mk(counts[i])
 		results[i] = r

@@ -11,12 +11,12 @@
 // layer's TestTelemetryOffOverhead).
 //
 //   - Tracing (this file): a trace ID is minted at serve job intake and
-//     carried via context.Context through experiment, cluster.Run/
-//     RunFleet and down to the kernel batch shard ranges. Spans carry
-//     both virtual (simulated) and wall timestamps, head sampling is
-//     per tenant, and sampled spans land in a bounded in-process store
-//     (queryable at /api/trace/{jobID}) and, optionally, a
-//     telemetry.TraceEventWriter Perfetto stream.
+//     carried via context.Context through experiment, the cluster
+//     coordinator (RunFleetContext) and down to the kernel batch shard
+//     ranges. Spans carry both virtual (simulated) and wall timestamps,
+//     head sampling is per tenant, and sampled spans land in a bounded
+//     in-process store (queryable at /api/trace/{jobID}) and,
+//     optionally, a telemetry.TraceEventWriter Perfetto stream.
 //   - SLO engine (slo.go): declarative objectives over good/bad event
 //     streams with multi-window burn-rate accounting (fast 5m / slow 1h
 //     by default) behind an injectable clock, surfaced at /api/slo and

@@ -119,13 +119,28 @@ func heapInUse() uint64 {
 // terminal jobs are evicted, least recently used first, and touching a
 // job (a GET) refreshes it.
 func TestEvictionPrefersLRUAndSkipsLive(t *testing.T) {
-	_, ts := newTestService(t, Config{MaxJobs: 2, Workers: 1})
+	svc, ts := newTestService(t, Config{MaxJobs: 2, Workers: 1})
 	run := func(i int) string {
 		js := quickSpec()
 		js.Seed = int64(3000 + i)
 		_, st := postJob(t, ts.URL, js)
 		if fin := waitTerminal(t, ts.URL, st.ID); fin.State != StateDone {
 			t.Fatalf("job %d ended %s", i, fin.State)
+		}
+		// The worker publishes the done state before it marks the job
+		// evictable; wait for the latter so the next submission's
+		// eviction pass sees every finished job.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			svc.mu.Lock()
+			e := svc.store.entries[st.ID]
+			evictable := e != nil && e.terminal
+			svc.mu.Unlock()
+			if evictable {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d never became evictable", i)
+			}
 		}
 		return st.ID
 	}

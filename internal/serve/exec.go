@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"aapm/internal/cluster"
-	"aapm/internal/obs"
 	"aapm/internal/control"
 	"aapm/internal/experiment"
 	"aapm/internal/kernel"
 	"aapm/internal/machine"
+	"aapm/internal/obs"
 	"aapm/internal/sensor"
 	"aapm/internal/spec"
 	"aapm/internal/telemetry"
@@ -28,7 +28,7 @@ func (s *Service) execute(ctx context.Context, j *Job) (Result, *trace.Run, erro
 	case j.Spec.Experiment != "":
 		return s.runExperiment(ctx, j)
 	case j.Spec.Nodes > 1:
-		return s.runCluster(ctx, j)
+		return s.runFleet(ctx, j)
 	default:
 		return s.runSingle(ctx, j)
 	}
@@ -127,10 +127,17 @@ func (s *Service) runSingle(ctx context.Context, j *Job) (Result, *trace.Run, er
 	}, run, nil
 }
 
-// runCluster co-simulates Nodes copies of the workload under the
-// shared-budget coordinator (cluster.RunContext), streaming per-node
-// progress into the job's event log.
-func (s *Service) runCluster(ctx context.Context, j *Job) (Result, *trace.Run, error) {
+// fleetNodeListCap bounds the per-node entries a cluster job's result
+// carries: a 10⁵-node result would otherwise be megabytes of JSON the
+// caller almost never wants. The aggregates always cover every node.
+const fleetNodeListCap = 256
+
+// runFleet co-simulates Nodes copies of the workload under the
+// shared-budget coordinator (cluster.RunFleetContext): a flat cluster
+// for Levels 0/1, an allocation tree of that depth otherwise.
+// Per-interval traces are not retained — the result reports
+// aggregates plus a capped per-node summary list.
+func (s *Service) runFleet(ctx context.Context, j *Job) (Result, *trace.Run, error) {
 	js := j.Spec
 	w, err := spec.ByName(js.Workload)
 	if err != nil {
@@ -143,62 +150,6 @@ func (s *Service) runCluster(ctx context.Context, j *Job) (Result, *trace.Run, e
 	for i := range nodes {
 		nodes[i] = cluster.Node{Name: fmt.Sprintf("%s-%d", js.Workload, i), Workload: w}
 	}
-	if js.Levels > 1 {
-		return s.runFleet(ctx, j, nodes)
-	}
-	res, err := cluster.RunContext(ctx, cluster.Config{
-		BudgetW:   js.BudgetW,
-		Nodes:     nodes,
-		Seed:      js.Seed,
-		Chain:     chainFor(js.Chain),
-		Telemetry: s.reg,
-		Observe: func(i int, name string) machine.Hook {
-			return newProgressHook(j.events, j.flight, name, s.cfg.ProgressEvery)
-		},
-	})
-	if err != nil {
-		// The coordinator wraps a context abort; report the cause so
-		// the scheduler classifies it as canceled/aborted, not failed.
-		if cerr := ctx.Err(); cerr != nil {
-			return Result{}, nil, cerr
-		}
-		return Result{}, nil, err
-	}
-	out := Result{
-		ID:             j.ID,
-		Workload:       js.Workload,
-		Policy:         "cluster-pm",
-		MakespanSec:    res.Makespan.Seconds(),
-		MachineSeconds: res.MachineSeconds,
-		PeakTotalW:     res.PeakTotalW,
-	}
-	for i, run := range res.Runs {
-		out.Nodes = append(out.Nodes, NodeResult{
-			Name:        res.Names[i],
-			DurationSec: run.Duration.Seconds(),
-			EnergyJ:     run.EnergyJ,
-			AvgPowerW:   run.AvgPowerW(),
-			Transitions: run.Transitions,
-		})
-		out.EnergyJ += run.EnergyJ
-		out.Transitions += run.Transitions
-		out.Ticks += len(run.Rows)
-	}
-	out.DurationSec = res.Makespan.Seconds()
-	return out, nil, nil
-}
-
-// fleetNodeListCap bounds the per-node entries a fleet job's result
-// carries: a 10⁵-node result would otherwise be megabytes of JSON the
-// caller almost never wants. The aggregates always cover every node.
-const fleetNodeListCap = 256
-
-// runFleet co-simulates the nodes under the hierarchical fleet
-// coordinator (cluster.RunFleetContext). Per-interval traces are not
-// retained — fleet jobs report aggregates plus a capped per-node
-// summary list.
-func (s *Service) runFleet(ctx context.Context, j *Job, nodes []cluster.Node) (Result, *trace.Run, error) {
-	js := j.Spec
 	res, err := cluster.RunFleetContext(ctx, cluster.FleetConfig{
 		BudgetW:   js.BudgetW,
 		Nodes:     nodes,
@@ -209,6 +160,8 @@ func (s *Service) runFleet(ctx context.Context, j *Job, nodes []cluster.Node) (R
 		Telemetry: s.reg,
 	})
 	if err != nil {
+		// The coordinator wraps a context abort; report the cause so
+		// the scheduler classifies it as canceled/aborted, not failed.
 		if cerr := ctx.Err(); cerr != nil {
 			return Result{}, nil, cerr
 		}

@@ -41,15 +41,15 @@ type JobSpec struct {
 	// suite default.
 	Iterations int `json:"iterations,omitempty"`
 	// Nodes co-simulates a shared-budget cluster of this many copies
-	// of the workload; 0/1 is a single machine.
+	// of the workload; 0/1 is a single machine. At most maxJobNodes.
 	Nodes int `json:"nodes,omitempty"`
 	// BudgetW is the cluster's global power cap; required when
 	// Nodes > 1, must be 0 otherwise.
 	BudgetW float64 `json:"budget_w,omitempty"`
-	// Levels selects the hierarchical fleet coordinator for cluster
-	// jobs: 0/1 is the flat cluster (a one-level fleet), >1 an
-	// allocation tree of that depth (cluster.FleetConfig.Levels). Only
-	// valid when Nodes > 1.
+	// Levels is the cluster job's allocation-tree depth
+	// (cluster.FleetConfig.Levels): 0/1 is the flat cluster, a
+	// one-level fleet; >1 inserts tiers of groups. Only valid when
+	// Nodes > 1.
 	Levels int `json:"levels,omitempty"`
 	// Fanout is the allocation tree's children-per-group bound; 0
 	// selects the fleet default (64). Only valid when Levels > 1.
@@ -97,6 +97,11 @@ func (js JobSpec) Normalize() JobSpec {
 	}
 	return js
 }
+
+// maxJobNodes bounds JobSpec.Nodes: the reference 10⁵-node fleet,
+// about 250 MB of coordinator state per job at the fleet's per-node
+// memory budget. Larger specs are rejected at submission.
+const maxJobNodes = 100_000
 
 // Measurement chain names accepted by JobSpec.Chain.
 const (
@@ -151,6 +156,9 @@ func (js JobSpec) Validate() error {
 	}
 	if math.IsNaN(js.BudgetW) || math.IsInf(js.BudgetW, 0) || js.BudgetW < 0 {
 		return fmt.Errorf("serve: bad budget_w")
+	}
+	if js.Nodes > maxJobNodes {
+		return fmt.Errorf("serve: nodes %d exceeds the %d-node limit", js.Nodes, maxJobNodes)
 	}
 	if js.Nodes > 1 {
 		if js.BudgetW <= 0 {

@@ -40,6 +40,7 @@ func TestSpecValidate(t *testing.T) {
 		{Workload: "ammp", Governor: "pm:limit=14.5", Seed: 1, Iterations: 2, MaxTicks: 10, Thermal: true},
 		{Workload: "gzip", Chain: ChainIdeal},
 		{Workload: "gzip", Nodes: 3, BudgetW: 40},
+		{Workload: "gzip", Nodes: maxJobNodes, BudgetW: 1e6},
 		{Experiment: "fig5", Seed: 3, Scale: 8},
 	}
 	for _, js := range valid {
@@ -69,6 +70,8 @@ func TestSpecValidate(t *testing.T) {
 		"experiment with iterations":   {Experiment: "fig5", Iterations: 2},
 		"experiment negative scale":    {Experiment: "fig5", Scale: -1},
 		"negative budget on a cluster": {Workload: "ammp", Nodes: 2, BudgetW: -3},
+		"nodes over the limit":         {Workload: "gzip", Nodes: 1 << 62, BudgetW: 1},
+		"nodes one over the limit":     {Workload: "gzip", Nodes: maxJobNodes + 1, BudgetW: 1e7},
 	}
 	for name, js := range invalid {
 		if err := js.Normalize().Validate(); err == nil {

@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"aapm/internal/telemetry"
 )
 
 // quickSpec is the fast canonical job most tests submit: one ammp
@@ -194,15 +196,20 @@ func TestHTTPErrorSurface(t *testing.T) {
 			t.Errorf("GET %s = %d, want 404", path, code)
 		}
 	}
-	// Malformed and invalid specs.
-	for _, body := range []string{"{", `{"nope":1}`, `{"workload":"nope"}`, `{"workload":"ammp","nodes":2}`} {
+	// Malformed and invalid specs. The node-count bound holds the
+	// worker's per-node allocations to a fleet-sized job.
+	for _, body := range []string{"{", `{"nope":1}`, `{"workload":"nope"}`, `{"workload":"ammp","nodes":2}`, hugeNodesBody} {
 		resp, err := http.Post(ts.URL+"/api/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %q = %d, want 400", body, resp.StatusCode)
+		}
+		if body == hugeNodesBody && !strings.Contains(string(msg), "node limit") {
+			t.Errorf("POST %q error = %q, want the node limit named", body, msg)
 		}
 	}
 	// Method checks.
@@ -486,7 +493,7 @@ func TestGoldenTraceThroughServe(t *testing.T) {
 // TestClusterAndExperimentJobs exercises the two non-single dispatch
 // paths end to end.
 func TestClusterAndExperimentJobs(t *testing.T) {
-	_, ts := newTestService(t, Config{})
+	svc, ts := newTestService(t, Config{})
 	_, cl := postJob(t, ts.URL, JobSpec{Workload: "gzip", Seed: 7, Nodes: 2, BudgetW: 30, Iterations: 1})
 	_, ex := postJob(t, ts.URL, JobSpec{Experiment: "table4", Seed: 7})
 
@@ -498,12 +505,30 @@ func TestClusterAndExperimentJobs(t *testing.T) {
 	if err := json.Unmarshal(body, &res); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Nodes) != 2 || res.MakespanSec <= 0 || res.PeakTotalW <= 0 {
+	// A flat cluster job is a one-level fleet job: the fleet policy
+	// name, node-tick count and result shape.
+	if res.Policy != "fleet-pm/L1" {
+		t.Errorf("policy = %q, want fleet-pm/L1", res.Policy)
+	}
+	if len(res.Nodes) != 2 || res.MakespanSec <= 0 || res.PeakTotalW <= 0 || res.Ticks <= 0 {
 		t.Errorf("cluster result = %+v", res)
 	}
 	// Cluster jobs have no single-machine trace.
 	if code, _, _ := getBody(t, ts.URL+"/api/jobs/"+cl.ID+"/result?format=csv"); code != http.StatusBadRequest {
 		t.Errorf("cluster csv = %d, want 400", code)
+	}
+	// The coordinator's fleet series are exported; per-node run series
+	// are not (a node label per cluster node would grow the registry
+	// without bound).
+	var expo bytes.Buffer
+	if err := svc.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), "aapm_fleet_nodes") {
+		t.Error("exposition lacks aapm_fleet_nodes after a cluster job")
+	}
+	if strings.Contains(expo.String(), telemetry.MetricTicks+`{node="gzip-0"`) {
+		t.Error("exposition carries per-node tick series for a cluster job")
 	}
 
 	if st := waitTerminal(t, ts.URL, ex.ID); st.State != StateDone {
