@@ -181,7 +181,8 @@ func NewPowerSave(cfg PSConfig) (*PowerSave, error) { return control.NewPowerSav
 // NewStaticClock builds a pinned-frequency baseline at p-state index i.
 func NewStaticClock(i int, label string) *StaticClock { return control.NewStaticClock(i, label) }
 
-// PaperPowerModel returns the published Table II power model.
+// PaperPowerModel returns the published Table II power model. Every
+// call returns the same immutable, process-wide instance.
 func PaperPowerModel() *PowerModel { return model.PaperPowerModel() }
 
 // PaperPerfModel returns eq. 3 with the published 1.21/0.81 values.

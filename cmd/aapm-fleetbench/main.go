@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime"
 	"strings"
 	"time"
 
@@ -116,6 +117,7 @@ type entry struct {
 	Workers         int       `json:"workers"`
 	Epochs          int       `json:"epochs"`
 	CPU             string    `json:"cpu"`
+	Cores           int       `json:"cores"`
 	Note            string    `json:"note,omitempty"`
 }
 
@@ -162,6 +164,7 @@ func run() error {
 			Workers:         res.Workers,
 			Epochs:          res.Epochs,
 			CPU:             cpuModel(),
+			Cores:           runtime.NumCPU(),
 			Note:            *note,
 		}
 		enc := json.NewEncoder(os.Stdout)

@@ -188,11 +188,17 @@ func TestFleetValidation(t *testing.T) {
 
 // fleetBytesPerNodeBudget caps the per-node allocation cost of a
 // fleet run (cumulative bytes allocated during RunFleet divided by
-// the node count). The footprint is the BatchState's lanes plus one
-// machine/PM/run header per node; the budget holds headroom over the
-// measured ~1.7 KiB so a regression that, say, reintroduces per-node
-// RNGs (~5 KiB each) or per-node tables fails loudly.
-const fleetBytesPerNodeBudget = 2560
+// the node count), and fleetMallocsPerNodeBudget the per-node
+// allocation count. The footprint is the BatchState's lanes plus one
+// machine/PM/run header per node, every PM sharing the one paper
+// power model. Measured at 1392 B and 7 mallocs per node; the budgets
+// sit just above, so a regression that gives each node its own power
+// model and p-state table (~650 B, 9 mallocs) fails, as does one that
+// reintroduces per-node RNGs (~5 KiB each).
+const (
+	fleetBytesPerNodeBudget   = 1536
+	fleetMallocsPerNodeBudget = 8
+)
 
 // TestFleetMemoryBudget is the scale gate: one process steps 100,000
 // nodes through a multi-epoch hierarchical run, within the per-node
@@ -221,8 +227,9 @@ func TestFleetMemoryBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perNode := float64(m1.TotalAlloc-m0.TotalAlloc) / n
-	t.Logf("fleet %d nodes, %d levels: %d node-ticks, %d epochs, %.0f B/node allocated",
-		res.Nodes, res.Levels, res.NodeTicks, res.Epochs, perNode)
+	mallocs := float64(m1.Mallocs-m0.Mallocs) / n
+	t.Logf("fleet %d nodes, %d levels: %d node-ticks, %d epochs, %.0f B and %.1f mallocs/node allocated",
+		res.Nodes, res.Levels, res.NodeTicks, res.Epochs, perNode, mallocs)
 	if res.NodeTicks < int64(n)*ticks {
 		t.Errorf("NodeTicks = %d, want >= %d", res.NodeTicks, int64(n)*ticks)
 	}
@@ -234,6 +241,9 @@ func TestFleetMemoryBudget(t *testing.T) {
 	}
 	if perNode > fleetBytesPerNodeBudget {
 		t.Errorf("allocated %.0f B/node, budget %d", perNode, fleetBytesPerNodeBudget)
+	}
+	if mallocs > fleetMallocsPerNodeBudget {
+		t.Errorf("%.1f mallocs/node, budget %d", mallocs, fleetMallocsPerNodeBudget)
 	}
 }
 

@@ -14,11 +14,13 @@ import (
 )
 
 // stepper owns the per-tick stepping work. Nodes are statically
-// sharded: worker k steps nodes k, k+workers, k+2*workers, … so a
-// node is stepped by the same goroutine for the whole run and no two
-// workers ever touch the same node state, stepped flag or error slot
-// — with the staged engine each node is its own session; with the
-// batch engine the shards step disjoint index ranges of one
+// sharded into contiguous blocks: worker k steps nodes
+// [k·n/workers, (k+1)·n/workers), so a node is stepped by the same
+// goroutine for the whole run, no two workers ever touch the same
+// node state, stepped flag or error slot, and each worker writes its
+// own cache lines of every per-node lane (a strided layout would have
+// adjacent nodes' 8-byte entries, owned by different workers, share a
+// line). The batch engine's shards step disjoint index ranges of one
 // BatchState, which the kernel's concurrency contract permits. The
 // coordinator reads stepped/errs (via the engine) only after the tick
 // barrier.
@@ -29,8 +31,8 @@ type stepper struct {
 	// reporting whether it was stepped. Provided by the engine.
 	step func(i int) bool
 	// stepped[i] records that node i was active at tick start and was
-	// stepped this tick. Entry i is written only by the worker owning
-	// shard i%workers.
+	// stepped this tick. Entry i is written only by the worker whose
+	// shard holds i.
 	stepped []bool
 	// wall[k] aggregates worker k's per-tick shard wall-clock (ticks
 	// where the shard had at least one active node). Each entry is
@@ -42,12 +44,20 @@ type stepper struct {
 	shardWall []*telemetry.Series
 }
 
+// shardRange returns worker k's node block [lo, hi) out of n nodes
+// split across workers: the blocks are contiguous, in worker order,
+// and cover [0, n) exactly once, differing in size by at most one.
+func shardRange(k, workers, n int) (lo, hi int) {
+	return k * n / workers, (k + 1) * n / workers
+}
+
 // shard steps worker k's nodes for one tick, timing the shard when it
 // did any work.
 func (st *stepper) shard(k int) {
 	start := time.Now()
 	any := false
-	for i := k; i < st.n; i += st.workers {
+	lo, hi := shardRange(k, st.workers, st.n)
+	for i := lo; i < hi; i++ {
 		if st.step(i) {
 			any = true
 			st.stepped[i] = true

@@ -299,3 +299,34 @@ func TestOnDemandLowUtilizationDrops(t *testing.T) {
 
 // tickTable returns the table the tick helper builds its infos from.
 func tickTable() *pstate.Table { return pstate.PentiumM755() }
+
+// TestDefaultModelShared pins that a PM and a thermal guard with a nil
+// Model share the process-wide Table II model: construction allocates
+// the governor and nothing else.
+func TestDefaultModelShared(t *testing.T) {
+	pm, err := NewPerformanceMaximizer(PMConfig{LimitW: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := NewThermalGuard(tgConfig(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if paper := model.PaperPowerModel(); pm.cfg.Model != paper || tg.cfg.Model != paper {
+		t.Error("a nil Model did not select the shared paper model")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := NewPerformanceMaximizer(PMConfig{LimitW: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 1 {
+		t.Errorf("NewPerformanceMaximizer allocates %v times, want 1 (the governor)", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		if _, err := NewThermalGuard(tgConfig(false)); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 1 {
+		t.Errorf("NewThermalGuard allocates %v times, want 1 (the governor)", a)
+	}
+}

@@ -17,6 +17,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"aapm/internal/paperref"
 	"aapm/internal/pstate"
@@ -42,7 +43,15 @@ func NewPowerModel(t *pstate.Table, fits []stats.Linear) (*PowerModel, error) {
 
 // PaperPowerModel returns the published Table II coefficients for the
 // Pentium M 755 table (from package paperref).
-func PaperPowerModel() *PowerModel {
+//
+// The model is built once and every call returns the same instance:
+// every PM and thermal guard with a nil Model, and so every node of a
+// fleet, evaluates one shared fit that stays in cache. PowerModel and
+// its pstate.Table expose no mutators, so the instance is safe for
+// concurrent reads; nothing may modify it.
+func PaperPowerModel() *PowerModel { return paperPowerModel() }
+
+var paperPowerModel = sync.OnceValue(func() *PowerModel {
 	t := pstate.PentiumM755()
 	fits := make([]stats.Linear, t.Len())
 	for i := 0; i < t.Len(); i++ {
@@ -57,7 +66,7 @@ func PaperPowerModel() *PowerModel {
 		panic("model: paper power model invalid: " + err.Error())
 	}
 	return m
-}
+})
 
 // Table returns the model's p-state table.
 func (m *PowerModel) Table() *pstate.Table { return m.table }

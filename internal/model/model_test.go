@@ -25,6 +25,15 @@ func TestPaperPowerModelMatchesTableII(t *testing.T) {
 	}
 }
 
+// TestPaperPowerModelShared pins the process-wide instance: every call
+// returns the same model, so every default PM shares one fit.
+func TestPaperPowerModelShared(t *testing.T) {
+	a, b := PaperPowerModel(), PaperPowerModel()
+	if a != b || a.Table() != b.Table() {
+		t.Fatalf("PaperPowerModel returned distinct instances %p/%p (tables %p/%p)", a, b, a.Table(), b.Table())
+	}
+}
+
 func TestEstimate(t *testing.T) {
 	m := PaperPowerModel()
 	i2000 := m.Table().IndexOf(2000)
